@@ -70,6 +70,7 @@ from weightcalc.weights import (
     enumerate_pss,
     from_symbols,
     j_set,
+    require_prime,
     t_type,
     transfer_matrix_count,
 )
@@ -887,6 +888,7 @@ def _cmd_tor(args) -> int:
     for t in tags:
         if t not in ("Y", "Z", "YZ"):
             raise ConfigError(f"unknown type tag {t!r}; expected Y, Z, or YZ")
+    require_prime(args.p)
     f = len(tags)
     imax = (3 if args.full else 2) * f
     dmax = args.max_degree

@@ -6,8 +6,8 @@ ring, and a noncommutative PBW engine computing minimal graded free
 resolutions degree by degree.
 """
 
-from weightcalc.homology.linalg import nullspace_mod, rank_mod, rref_mod
-from weightcalc.homology.pbw import PbwElement, pbw_multiply
+from weightcalc.homology.linalg import nullspace_mod, rank_mod
+from weightcalc.homology.pbw import PbwElement
 from weightcalc.homology.taylor import (
     ExtSummary,
     grade_and_cm,
@@ -36,10 +36,8 @@ __all__ = [
     "minimal_resolution",
     "module_generators",
     "nullspace_mod",
-    "pbw_multiply",
     "rank_mod",
     "resolution_tables",
-    "rref_mod",
     "shellability_check",
     "taylor_ext_ranks",
     "tor_grlambda",

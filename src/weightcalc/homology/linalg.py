@@ -1,95 +1,88 @@
-"""Exact linear algebra over prime fields, on top of numpy int64.
+"""Exact sparse linear algebra over prime fields.
 
-All entries stay far below the int64 overflow line: matrices are
-reduced mod p after every elimination step and p here is a small
-prime.
+A row is a dict {column: coefficient} of Python ints, so the arithmetic
+is exact for every prime.  The slice matrices of the resolution engine
+are a few percent nonzero, and the Taylor boundary matrices are small,
+so one incremental sparse reducer (structured Gaussian elimination, as
+in Faugere and Lachartre, PASCO 2010) serves every rank, kernel and
+span computation.
 """
 
 from __future__ import annotations
 
-import numpy as np
+Row = dict[int, int]
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.int64)
-    if m.ndim != 2:
-        raise ValueError("expected a two-dimensional array")
-    return m
+class RowSpan:
+    """Span of rows over F_p, kept in reduced row echelon form: rows are
+    keyed by pivot column, each has a 1 there, and no other row has an
+    entry in that column.  Stored rows are replaced, never mutated."""
+
+    def __init__(self, p: int, rows=()):
+        self.p = p
+        self.rows: dict[int, Row] = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v) -> Row:
+        """Remainder of v modulo the span; v is a dict or a dense list."""
+        p = self.p
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        out = {c: x % p for c, x in items if x % p}
+        # a stored row is zero on every other pivot column, so one pass
+        # over the pivot columns present in v clears them all
+        for c in [c for c in out if c in self.rows]:
+            coef = out[c]
+            for k, x in self.rows[c].items():
+                y = (out.get(k, 0) - coef * x) % p
+                if y:
+                    out[k] = y
+                else:
+                    del out[k]
+        return out
+
+    def add(self, v) -> Row | None:
+        """Reduce v; if independent, store it normalized, clear its pivot
+        column from the other rows and return it, else return None."""
+        v = self.reduce(v)
+        if not v:
+            return None
+        p = self.p
+        lead = min(v)
+        inv = pow(v[lead], -1, p)
+        if inv != 1:
+            v = {c: x * inv % p for c, x in v.items()}
+        for c, row in self.rows.items():
+            coef = row.get(lead)
+            if coef:
+                new = dict(row)
+                for k, x in v.items():
+                    y = (new.get(k, 0) - coef * x) % p
+                    if y:
+                        new[k] = y
+                    else:
+                        del new[k]
+                self.rows[c] = new
+        self.rows[lead] = v
+        return v
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
-def rref_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (matrix, pivot columns)."""
-    m = _as_matrix(a) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        # every row is zero left of c by now, so updates stay in m[:, c:]
-        m[r, c:] = m[r, c:] * inv % p
-        col = m[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            m[:, c:] = (m[:, c:] - np.outer(col, m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def rank_mod(rows, p: int) -> int:
+    """Rank over F_p of a matrix given as sparse or dense rows."""
+    return RowSpan(p, rows).rank
 
 
-def echelon_mod(a, p: int) -> tuple[np.ndarray, list[int]]:
-    """Forward row echelon form over F_p (no back-substitution); returns
-    (matrix, pivot columns) with normalized pivot rows on top."""
-    m = _as_matrix(a) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = m[r, c:] * inv % p
-        below = m[r + 1 :, c].copy()
-        if np.any(below):
-            m[r + 1 :, c:] = (m[r + 1 :, c:] - np.outer(below, m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rank_mod(a, p: int) -> int:
-    m = _as_matrix(a)
-    if m.size == 0:
-        return 0
-    return len(rref_mod(m, p)[1])
-
-
-def nullspace_mod(a, p: int) -> np.ndarray:
-    """Basis of the right kernel, one vector per row."""
-    m = _as_matrix(a)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0 or m.size == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = rref_mod(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[i, fc])) % p
-    return basis
+def nullspace_mod(rows, ncols: int, p: int) -> list[Row]:
+    """Basis of the right kernel, one sparse vector per free column in
+    increasing order; the RREF is unique, so the basis is too."""
+    span = RowSpan(p, rows)
+    basis = {c: {c: 1} for c in range(ncols) if c not in span.rows}
+    for pc, row in span.rows.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x % p
+    return list(basis.values())

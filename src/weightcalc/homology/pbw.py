@@ -192,7 +192,3 @@ class PbwElement:
             parts.append(f"{c}*{mono}" if c != 1 or not factors else mono)
         return " + ".join(parts)
 
-
-def pbw_multiply(u: PbwElement, v: PbwElement) -> PbwElement:
-    """Product in normal form."""
-    return u * v

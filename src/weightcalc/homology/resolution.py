@@ -17,9 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from weightcalc.homology.linalg import echelon_mod, nullspace_mod, rank_mod
+from weightcalc.homology.linalg import Row, RowSpan, nullspace_mod, rank_mod
 from weightcalc.homology.pbw import PbwElement, multiply_keys
 
 CharVec = tuple[int, ...]
@@ -83,52 +81,11 @@ def _module_basis(
 
 
 def _expand(
-    vec: tuple[PbwElement, ...],
-    index: dict[tuple[int, tuple], int],
-    ncols: int,
-    p: int,
-) -> np.ndarray:
-    row = np.zeros(ncols, dtype=np.int64)
-    for k, el in enumerate(vec):
-        for key, c in el.terms.items():
-            row[index[(k, key)]] = c % p
-    return row
-
-
-class _RowSpan:
-    """Incremental row-echelon span over F_p; deterministic pivots."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, np.ndarray] = {}
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        p = self.p
-        v = v % p
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return v
-            lead = int(nz[0])
-            pivot = self.rows.get(lead)
-            if pivot is None:
-                return v
-            v = (v - v[lead] * pivot) % p
-
-    def add(self, v: np.ndarray) -> np.ndarray | None:
-        """Reduce v; if independent, store normalized and return the remainder."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return None
-        lead = int(nz[0])
-        v = (v * pow(int(v[lead]), self.p - 2, self.p)) % self.p
-        self.rows[lead] = v
-        return v
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    vec: tuple[PbwElement, ...], index: dict[tuple[int, tuple], int]
+) -> Row:
+    return {
+        index[(k, key)]: c for k, el in enumerate(vec) for key, c in el.terms.items()
+    }
 
 
 def vector_shift(vec: tuple[PbwElement, ...], shifts: tuple[Shift, ...]) -> Shift:
@@ -149,13 +106,26 @@ def vector_shift(vec: tuple[PbwElement, ...], shifts: tuple[Shift, ...]) -> Shif
 
 
 def _row_to_vector(
-    row: np.ndarray, basis: list[tuple[int, tuple]], nsummands: int, f: int, p: int
+    row: Row, basis: list[tuple[int, tuple]], nsummands: int, f: int, p: int
 ) -> tuple[PbwElement, ...]:
     parts: list[dict] = [dict() for _ in range(nsummands)]
-    for col in np.nonzero(row)[0]:
+    for col, c in row.items():
         s, key = basis[col]
-        parts[s][key] = int(row[col])
+        parts[s][key] = c
     return tuple(PbwElement(f, p, terms) for terms in parts)
+
+
+def _image(
+    m: tuple, vec: tuple[PbwElement, ...], index: dict[tuple[int, tuple], int], p: int
+) -> Row:
+    """Coordinates of the product of monomial m with a free-module vector."""
+    row: Row = {}
+    for k, el in enumerate(vec):
+        for k2, c2 in el.terms.items():
+            for k3, c3 in multiply_keys(m, k2, p).items():
+                pos = index[(k, k3)]
+                row[pos] = (row.get(pos, 0) + c2 * c3) % p
+    return row
 
 
 def _map_matrix(
@@ -167,17 +137,16 @@ def _map_matrix(
     f: int,
     p: int,
 ):
+    """Sparse rows of the slice map, one per target basis element, with
+    one column per source basis element."""
     src_basis = _module_basis(src_shifts, deg, w, f)
     tgt_basis = _module_basis(tgt_shifts, deg, w, f)
     index = {bm: i for i, bm in enumerate(tgt_basis)}
-    mat = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
+    rows: list[Row] = [{} for _ in tgt_basis]
     for col, (s, m) in enumerate(src_basis):
-        for k, g in enumerate(vecs[s]):
-            for k2, c2 in g.terms.items():
-                for k3, c3 in multiply_keys(m, k2, p).items():
-                    row = index[(k, k3)]
-                    mat[row, col] = (mat[row, col] + c2 * c3) % p
-    return mat, src_basis, tgt_basis
+        for pos, c in _image(m, vecs[s], index, p).items():
+            rows[pos][col] = c
+    return rows, src_basis, tgt_basis
 
 
 def _old_span(
@@ -185,28 +154,18 @@ def _old_span(
     deg: int,
     w: CharVec,
     index: dict,
-    ncols: int,
     f: int,
     p: int,
-) -> _RowSpan:
-    """Slice span of all algebra multiples of already-found generators,
-    reduced in one batch elimination."""
-    rows = []
-    for (ge, gu), vec in found:
-        for m in slice_keys(f, deg - ge, _sub_char(w, gu)):
-            row = np.zeros(ncols, dtype=np.int64)
-            for k, el in enumerate(vec):
-                for k2, c2 in el.terms.items():
-                    for k3, c3 in multiply_keys(m, k2, p).items():
-                        pos = index[(k, k3)]
-                        row[pos] = (row[pos] + c2 * c3) % p
-            rows.append(row)
-    span = _RowSpan(p)
-    if rows:
-        reduced, pivots = echelon_mod(np.vstack(rows), p)
-        for r, c in enumerate(pivots):
-            span.rows[c] = reduced[r]
-    return span
+) -> RowSpan:
+    """Slice span of all algebra multiples of already-found generators."""
+    return RowSpan(
+        p,
+        (
+            _image(m, vec, index, p)
+            for (ge, gu), vec in found
+            for m in slice_keys(f, deg - ge, _sub_char(w, gu))
+        ),
+    )
 
 
 def _char_candidates(
@@ -237,16 +196,14 @@ def _syzygy_step(
         return found
     for deg in range(min(e for e, _ in src_shifts), dmax + 1):
         for w in _char_candidates(src_shifts, deg, f):
-            mat, src_basis, _ = _map_matrix(
+            rows, src_basis, _ = _map_matrix(
                 src_shifts, vecs, tgt_shifts, deg, w, f, p
             )
-            if not src_basis:
-                continue
-            ker = nullspace_mod(mat, p)
-            if ker.shape[0] == 0:
+            ker = nullspace_mod(rows, len(src_basis), p)
+            if not ker:
                 continue
             index = {bm: i for i, bm in enumerate(src_basis)}
-            span = _old_span(found, deg, w, index, len(src_basis), f, p)
+            span = _old_span(found, deg, w, index, f, p)
             old_rank = span.rank
             fresh = []
             for row in ker:
@@ -254,7 +211,7 @@ def _syzygy_step(
                 if rem is not None:
                     fresh.append(rem)
             # the old span sits inside the kernel, so the count must close up
-            if old_rank + len(fresh) != ker.shape[0]:
+            if old_rank + len(fresh) != len(ker):
                 raise AssertionError("span bookkeeping out of step with kernel")
             for rem in fresh:
                 vec = _row_to_vector(rem, src_basis, len(src_shifts), f, p)
@@ -278,9 +235,9 @@ def minimalize_elements(
     for (deg, w), group in itertools.groupby(items, key=lambda t: t[0]):
         basis = _module_basis(shifts, deg, w, f)
         index = {bm: i for i, bm in enumerate(basis)}
-        span = _old_span(kept, deg, w, index, len(basis), f, p)
+        span = _old_span(kept, deg, w, index, f, p)
         for _, el in group:
-            if span.add(_expand((el,), index, len(basis), p)) is not None:
+            if span.add(_expand((el,), index)) is not None:
                 kept.append(((deg, w), (el,)))
                 out.append(el)
     return out

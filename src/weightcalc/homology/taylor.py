@@ -79,18 +79,21 @@ def _subset_lcms(gens: tuple[tuple[int, ...], ...], nvars: int) -> np.ndarray:
 
 def _boundary_matrix(
     lower: list[int], upper: list[int], r: int
-) -> np.ndarray:
-    """Dual transition between active subset levels; entries 0, +-1."""
+) -> list[dict[int, int]]:
+    """Dual transition between active subset levels, as sparse rows with
+    entries +-1."""
     pos = {s: c for c, s in enumerate(lower)}
-    mat = np.zeros((len(upper), len(lower)), dtype=np.int64)
-    for row, sup in enumerate(upper):
+    rows = []
+    for sup in upper:
         bits = [b for b in range(r) if sup >> b & 1]
+        row = {}
         for t, b in enumerate(bits):
             sub = sup ^ (1 << b)
             col = pos.get(sub)
             if col is not None:
-                mat[row, col] = -1 if t % 2 else 1
-    return mat
+                row[col] = -1 if t % 2 else 1
+        rows.append(row)
+    return rows
 
 
 def _pattern_homology(

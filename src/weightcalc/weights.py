@@ -51,6 +51,11 @@ class StarContractError(RuntimeError):
     """Raised when the componentwise star rule breaks its contract."""
 
 
+# Ranks are exact for every prime; the bound keeps trial division in
+# _is_prime to a fraction of a second.
+P_LIMIT = 1 << 40
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -62,6 +67,12 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime with 5 <= p < 2**40."""
+    if not 5 <= p < P_LIMIT or not _is_prime(p):
+        raise ValueError(f"p must be a prime with 5 <= p < 2**40, got {p}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,7 @@ class Params:
     def __post_init__(self) -> None:
         if self.f < 1:
             raise ValueError(f"f must be >= 1, got {self.f}")
-        if self.p < 5 or not _is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
+        require_prime(self.p)
         object.__setattr__(self, "j_rho", frozenset(self.j_rho))
         object.__setattr__(self, "r", tuple(int(v) for v in self.r))
         if not self.j_rho <= frozenset(range(self.f)):

@@ -5,6 +5,7 @@ capsys.  The heavyweight f=2 homology suites are exercised once.
 """
 
 import json
+import time
 
 import pytest
 
@@ -213,6 +214,28 @@ class TestMainVerify:
         assert code == 0
         assert "marked-diagonal-count" in out
 
+    def test_large_prime_homology_is_exact(self, capsys):
+        # products of two residues near 2**32 overflow fixed-width integers
+        code = main(
+            "verify --f 1 --p 4294967291 --jrho none --r 13 "
+            "--suite tor,resolutions".split()
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.out + captured.err
+        assert "pass 20  fail 0  inconclusive 0" in captured.out
+
+    def test_oversized_prime_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(
+            "verify --f 1 --p 2305843009213693951 --jrho none --r 13 "
+            "--suite enumeration".split()
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert "2**40" in capsys.readouterr().err
+        assert elapsed < 0.5
+
 
 class TestSubcommands:
     def test_enumerate_counts(self, capsys):
@@ -268,6 +291,11 @@ class TestSubcommands:
     def test_tor_bad_tag(self, capsys):
         assert main("tor --tags Q --p 29".split()) == 2
         assert "type tag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["0", "1", "15", str(1 << 61)])
+    def test_tor_refuses_bad_prime(self, capsys, p):
+        assert main(["tor", "--tags", "Y", "--p", p]) == 2
+        assert "prime" in capsys.readouterr().err
 
     def test_lam_length_mismatch(self, capsys):
         argv = "ideal --f 2 --p 61 --jrho none --r 13,16 --lam x".split()

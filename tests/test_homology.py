@@ -6,23 +6,16 @@ import dataclasses
 import itertools
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcalc.homology.linalg import (
-    echelon_mod,
-    nullspace_mod,
-    rank_mod,
-    rref_mod,
-)
+from weightcalc.homology.linalg import RowSpan, nullspace_mod, rank_mod
 from weightcalc.homology.pbw import (
     PbwElement,
     key_char,
     key_degree,
     multiply_keys,
-    pbw_multiply,
 )
 from weightcalc.homology.taylor import (
     codim_of,
@@ -44,56 +37,88 @@ def lifted(f: int, monos) -> tuple[tuple[int, ...], ...]:
     return MonomialIdeal(f, tuple(monos)).lift_exponents()
 
 
+LARGE_P = 4294967291  # the largest prime below 2**32
+
+
+def _dense_rref(mat, p):
+    """Oracle: dense Gauss-Jordan elimination on lists of ints, sharing no
+    code with the sparse kernel; returns the nonzero rows of the RREF."""
+    m = [[x % p for x in row] for row in mat]
+    ncols = len(m[0]) if m else 0
+    top = 0
+    for c in range(ncols):
+        piv = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        inv = pow(m[top][c], p - 2, p)
+        m[top] = [x * inv % p for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                g = m[i][c]
+                m[i] = [(x - g * y) % p for x, y in zip(m[i], m[top])]
+        top += 1
+    return m[:top]
+
+
+@st.composite
+def _matrices(draw):
+    """A dense matrix whose later rows are often combinations of earlier
+    ones, so that ranks fall short of full at large p too."""
+    p = draw(st.sampled_from([2, 5, 29, 61, LARGE_P]))
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(cols)])
+    return draw(st.permutations(rows)), cols, p
+
+
 class TestLinalg:
     def test_rref_rank_one(self):
-        m, pivots = rref_mod(np.array([[2, 4], [1, 2]]), 5)
-        assert pivots == [0]
-        assert m[0].tolist() == [1, 2]
-        assert not m[1].any()
+        span = RowSpan(5, [[2, 4], [1, 2]])
+        assert span.rows == {0: {0: 1, 1: 2}}
+        assert span.add({1: 3}) == {1: 1}
+        assert span.rows == {0: {0: 1}, 1: {1: 1}}
+        assert span.add([7, 0]) is None
 
     def test_rank_degenerate(self):
-        assert rank_mod(np.zeros((3, 3), dtype=np.int64), 7) == 0
-        assert rank_mod(np.zeros((0, 4), dtype=np.int64), 7) == 0
-        assert rank_mod(np.eye(4, dtype=np.int64), 2) == 4
+        assert rank_mod([[0, 0, 0]] * 3, 7) == 0
+        assert rank_mod([], 7) == 0
+        assert rank_mod([{}, {2: 14}], 7) == 0
+        assert rank_mod([[int(i == j) for j in range(4)] for i in range(4)], 2) == 4
 
     def test_nullspace_empty_matrix(self):
-        basis = nullspace_mod(np.zeros((0, 3), dtype=np.int64), 5)
-        assert basis.shape == (3, 3)
+        assert nullspace_mod([], 3, 5) == [{0: 1}, {1: 1}, {2: 1}]
+        assert nullspace_mod([{}], 0, 5) == []
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_nullspace_is_right_kernel(self, data):
-        p = data.draw(st.sampled_from([2, 5, 29]))
-        rows = data.draw(st.integers(0, 5))
-        cols = data.draw(st.integers(1, 5))
-        entries = data.draw(
-            st.lists(
-                st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols
-            )
-        )
-        m = np.array(entries, dtype=np.int64).reshape(rows, cols)
-        basis = nullspace_mod(m, p)
-        if rows and basis.shape[0]:
-            assert not ((m @ basis.T) % p).any()
-        assert rank_mod(m, p) + basis.shape[0] == cols
-        if basis.shape[0]:
-            assert rank_mod(basis, p) == basis.shape[0]
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_rref_matches_dense_oracle(self, case):
+        rows, cols, p = case
+        oracle = _dense_rref(rows, p)
+        expected = {
+            next(c for c, x in enumerate(row) if x): {c: x for c, x in enumerate(row) if x}
+            for row in oracle
+        }
+        assert RowSpan(p, rows).rows == expected
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert RowSpan(p, sparse).rows == expected
+        assert rank_mod(rows, p) == len(oracle)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_echelon_agrees_with_rref_rank(self, data):
-        p = data.draw(st.sampled_from([5, 29]))
-        rows = data.draw(st.integers(1, 6))
-        cols = data.draw(st.integers(1, 6))
-        entries = data.draw(
-            st.lists(
-                st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols
-            )
-        )
-        m = np.array(entries, dtype=np.int64).reshape(rows, cols)
-        _, piv_a = echelon_mod(m, p)
-        _, piv_b = rref_mod(m, p)
-        assert piv_a == piv_b
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices())
+    def test_nullspace_is_right_kernel(self, case):
+        rows, cols, p = case
+        basis = nullspace_mod(rows, cols, p)
+        for v in basis:
+            assert v and all(0 < x < p for x in v.values())
+            for row in rows:
+                assert sum(row[c] * x for c, x in v.items()) % p == 0
+        assert len(_dense_rref(rows, p)) + len(basis) == cols
+        dense = [[v.get(c, 0) for c in range(cols)] for v in basis]
+        assert len(_dense_rref(dense, p)) == len(basis)
 
 
 def _y(f=1, p=29, j=0, n=1):
@@ -137,12 +162,12 @@ def _rewrite_word(word, p):
 class TestPbw:
     def test_straightening_relation(self):
         p = 29
-        prod = pbw_multiply(_z(), _y())
+        prod = _z() * _y()
         assert prod.terms == {((1, 1, 0),): 1, ((0, 0, 1),): p - 1}
 
     def test_h_is_central(self):
         for other in (_y(), _z(), _y() * _z()):
-            assert pbw_multiply(_h(), other) == pbw_multiply(other, _h())
+            assert _h() * other == other * _h()
 
     def test_associativity_spot(self):
         assert (_z() * _y()) * _y() == _z() * (_y() * _y())

@@ -54,6 +54,8 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(f=1, p=3, j_rho=frozenset(), r=(1,))
         with pytest.raises(ValueError):
+            Params(f=1, p=(1 << 61) - 1, j_rho=frozenset(), r=(13,))
+        with pytest.raises(ValueError):
             Params(f=1, p=29, j_rho=frozenset({1}), r=(4,))
         with pytest.raises(ValueError):
             Params(f=2, p=29, j_rho=frozenset(), r=(4,))
