@@ -18,6 +18,7 @@ from weightcalc.weights import (
     Params,
     TTag,
     enumerate_p,
+    subsets,
     t_type,
 )
 
@@ -183,8 +184,7 @@ def expected_shift_hits(params: Params) -> set[tuple[tuple[int, ...], tuple[int,
     for lam in enumerate_p(params):
         tags = t_type(lam, params)
         free = [j for j, t in enumerate(tags) if t is not TTag.YZ]
-        for k in range(2 ** len(free)):
-            sub = frozenset(free[i] for i in range(len(free)) if k >> i & 1)
+        for sub in subsets(free):
             mu = shift_by_s(lam, sub, params)
             ivec = tuple(
                 (1 if tags[j] is TTag.Z else -1) if j in sub else 0
@@ -237,8 +237,8 @@ def w_layers(
             raise ValueError(f"index {j} out of range")
     n = len(J1) + len(J2)
     layers: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
-    for sub1 in _subsets(J1):
-        for sub2 in _subsets(J2):
+    for sub1 in subsets(J1):
+        for sub2 in subsets(J2):
             kvec = tuple(
                 -1 if j in sub1 else (1 if j in sub2 else 0) for j in range(params.f)
             )
@@ -249,9 +249,3 @@ def w_layers(
         layers=tuple(tuple(sorted(layer)) for layer in layers),
         k1_fixed=not J2,
     )
-
-
-def _subsets(s: frozenset[int]):
-    items = sorted(s)
-    for k in range(2 ** len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if k >> i & 1)

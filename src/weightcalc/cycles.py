@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from weightcalc.monomial import Monomial, MonomialIdeal, ideal_a1, ideal_a
-from weightcalc.weights import LambdaTuple, Params, TTag, star_involution, t_type
+from weightcalc.weights import LambdaTuple, Params, TTag, star_involution
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from weightcalc.homology.linalg import rank_mod
+from weightcalc.monomial import minimal_exponents
 
 GEN_CAP = 16
 GRID_CAP = 50_000
@@ -34,12 +35,7 @@ def _normalize_gens(gens, nvars: int) -> tuple[tuple[int, ...], ...]:
         if any(v < 0 for v in g):
             raise ValueError("negative exponent")
         out.append(g)
-    # drop duplicates and non-minimal generators
-    kept: list[tuple[int, ...]] = []
-    for g in sorted(set(out), key=lambda v: (sum(v), v)):
-        if not any(all(h[i] <= g[i] for i in range(nvars)) for h in kept):
-            kept.append(g)
-    return tuple(kept)
+    return minimal_exponents(out)
 
 
 @dataclass(frozen=True)
@@ -304,29 +300,25 @@ def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
     maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
     lcms = _subset_lcms(gens, nvars)
     for top in itertools.product(*(range(m + 1) for m in maxexp)):
-        b = np.array(top, dtype=np.int64)
-        active = np.all(lcms <= b, axis=1)
-        levels: list[list[int]] = [[] for _ in range(r + 1)]
-        for s in np.nonzero(active)[0]:
-            levels[int(s).bit_count()].append(int(s))
-        ranks = []
-        for k in range(r):
-            if not levels[k] or not levels[k + 1]:
-                ranks.append(0)
-                continue
-            ranks.append(
-                rank_mod(_boundary_matrix(levels[k], levels[k + 1], r), prime)
-            )
-        for k in range(1, r + 1):
-            dim = len(levels[k])
-            h = dim - (ranks[k] if k < r else 0) - (ranks[k - 1] if k > 0 else 0)
-            if h != 0:
-                return False
+        active = np.all(lcms <= np.array(top, dtype=np.int64), axis=1)
         in_ideal = any(all(g[v] <= top[v] for v in range(nvars)) for g in gens)
-        h0 = len(levels[0]) - (ranks[0] if r > 0 else 0)
-        if h0 != (0 if in_ideal else 1):
+        # the primal maps are the transposes of the dual ones, so the
+        # same ranks give the homology
+        if _pattern_homology(active, r, prime) != ({} if in_ideal else {0: 1}):
             return False
     return True
+
+
+def _euler(lcms: np.ndarray, nvars: int, deg: int) -> int:
+    """Inclusion-exclusion over generator subsets: the alternating sum,
+    by subset size, of the ring's dimension in degree deg - |lcm|."""
+    total = 0
+    for s, row in enumerate(lcms):
+        e = deg - int(row.sum())
+        if e >= 0:
+            term = math.comb(e + nvars - 1, nvars - 1)
+            total += -term if s.bit_count() % 2 else term
+    return total
 
 
 def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
@@ -334,16 +326,8 @@ def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
     count, per degree up to degmax."""
     gens = _normalize_gens(gens, nvars)
     lcms = _subset_lcms(gens, nvars)
-    r = len(gens)
-
-    def ring_dim(e: int) -> int:
-        return math.comb(e + nvars - 1, nvars - 1) if e >= 0 else 0
-
     for deg in range(degmax + 1):
-        euler = 0
-        for s in range(1 << r):
-            term = ring_dim(deg - int(lcms[s].sum()))
-            euler += -term if int(s).bit_count() % 2 else term
+        euler = _euler(lcms, nvars, deg)
         direct = 0
         for mono in itertools.combinations_with_replacement(range(nvars), deg):
             exp = [0] * nvars
@@ -363,17 +347,11 @@ def ext_euler_check(summary: ExtSummary, dmax: int = 0) -> bool:
         raise ValueError("needs a conclusive nonzero summary")
     nvars = summary.nvars
     lcms = _subset_lcms(summary.gens, nvars)
-    r = len(summary.gens)
-
-    def ring_dim(e: int) -> int:
-        return math.comb(e + nvars - 1, nvars - 1) if e >= 0 else 0
-
-    dmin = -sum(max(g[v] for g in summary.gens) for v in range(nvars)) if r else 0
+    gens = summary.gens
+    dmin = -sum(max(g[v] for g in gens) for v in range(nvars)) if gens else 0
     for deg in range(dmin, dmax + 1):
-        euler = 0
-        for s in range(1 << r):
-            term = ring_dim(deg + int(lcms[s].sum()))
-            euler += -term if int(s).bit_count() % 2 else term
+        # the dual complex shifts by +|lcm| where the primal shifts by -|lcm|
+        euler = _euler(-lcms, nvars, deg)
         from_ext = 0
         for i, pairs in summary.degree_dims:
             d = dict(pairs).get(deg, 0)

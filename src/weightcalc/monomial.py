@@ -18,6 +18,7 @@ from weightcalc.weights import (
     Params,
     TTag,
     j_set,
+    subsets,
     t_type,
 )
 
@@ -91,6 +92,17 @@ class Monomial:
         return "*".join(parts)
 
 
+def minimal_exponents(vectors) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of the monomial ideal spanned by exponent
+    vectors: duplicates and multiples dropped, ordered by total degree,
+    then lexicographically."""
+    kept: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=lambda v: (sum(v), v)):
+        if not any(all(a <= b for a, b in zip(w, v)) for w in kept):
+            kept.append(v)
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """An ideal given by its unique minimal monomial generators."""
@@ -139,11 +151,7 @@ class MonomialIdeal:
             vec[j] = 1
             vec[self.f + j] = 1
             raw.append(tuple(vec))
-        kept: list[tuple[int, ...]] = []
-        for v in sorted(set(raw), key=lambda v: (sum(v), v)):
-            if not any(all(w[i] <= v[i] for i in range(2 * self.f)) for w in kept):
-                kept.append(v)
-        return tuple(kept)
+        return minimal_exponents(raw)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -159,20 +167,24 @@ def zero_ideal(f: int) -> MonomialIdeal:
     return MonomialIdeal(f, ())
 
 
-def ideal_a(lam: LambdaTuple, params: Params) -> MonomialIdeal:
-    """The type ideal of a restricted-family member.
+def type_ideal(tags) -> MonomialIdeal:
+    """The ideal of a per-index type pattern.
 
     Y indices contribute y_j, Z indices z_j; YZ indices contribute the
     product y_j z_j which is already zero in the quotient ring.
     """
-    tags = t_type(lam, params)
-    gens = []
-    for j, tag in enumerate(tags):
-        if tag is TTag.Y:
-            gens.append(Monomial.y(j, params.f))
-        elif tag is TTag.Z:
-            gens.append(Monomial.z(j, params.f))
-    return MonomialIdeal(params.f, tuple(gens))
+    f = len(tags)
+    gens = [
+        Monomial.y(j, f) if tag is TTag.Y else Monomial.z(j, f)
+        for j, tag in enumerate(tags)
+        if tag is not TTag.YZ
+    ]
+    return MonomialIdeal(f, tuple(gens))
+
+
+def ideal_a(lam: LambdaTuple, params: Params) -> MonomialIdeal:
+    """The type ideal of a restricted-family member."""
+    return type_ideal(t_type(lam, params))
 
 
 def ideal_ijd(
@@ -192,8 +204,8 @@ def ideal_ijd(
     if d <= 0:
         return unit_ideal(f)
     gens = []
-    for take1 in _subsets(J1):
-        for take2 in _subsets(J2):
+    for take1 in subsets(J1):
+        for take2 in subsets(J2):
             if len(take1) + len(take2) != d:
                 continue
             signed = tuple(
@@ -276,7 +288,7 @@ def standard_monomials(
         out.sort(key=lambda m: (m.degree, m.signed()))
         return out
     out = []
-    for signed in _signed_vectors(f, max_degree):
+    for signed in signed_vectors(f, max_degree):
         m = Monomial.from_signed(signed)
         if not ideal.contains(m):
             out.append(m)
@@ -284,7 +296,9 @@ def standard_monomials(
     return out
 
 
-def _signed_vectors(f: int, max_degree: int):
+def signed_vectors(f: int, max_degree: int):
+    """Integer vectors of length f with sum(|e_j|) <= max_degree, in
+    lexicographic order."""
     rng = range(-max_degree, max_degree + 1)
     for vec in itertools.product(rng, repeat=f):
         if sum(abs(e) for e in vec) <= max_degree:
@@ -306,7 +320,7 @@ def hilbert_function_pair(
     if not big.contains_ideal(small):
         raise ValueError("ideals are not nested")
     dims = [0] * (dmax + 1)
-    for signed in _signed_vectors(big.f, dmax):
+    for signed in signed_vectors(big.f, dmax):
         m = Monomial.from_signed(signed)
         if big.contains(m) and not small.contains(m):
             dims[m.degree] += 1
@@ -353,9 +367,3 @@ def graded_characters(
         modulus=params.q_minus_one,
         degrees=tuple(tuple(sorted(layer)) for layer in per_degree),
     )
-
-
-def _subsets(s: frozenset[int]):
-    items = sorted(s)
-    for k in range(2 ** len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if k >> i & 1)

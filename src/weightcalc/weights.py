@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 SYMBOLS = ("x", "x+1", "x+2", "p-3-x", "p-2-x", "p-1-x")
@@ -203,6 +203,19 @@ def from_symbols(*names: str) -> LambdaTuple:
 def j_set(lam: LambdaTuple) -> frozenset[int]:
     """Indices whose entry lies in {x+1, x+2, p-3-x}."""
     return frozenset(j for j, s in enumerate(lam.entries) if s in J_SET_SYMBOLS)
+
+
+def subsets(items) -> list[frozenset[int]]:
+    """Every subset of `items`, by size, then lexicographically.
+
+    Report order depends on this order (the split-product checks).
+    """
+    items = sorted(items)
+    return [
+        frozenset(c)
+        for k in range(len(items) + 1)
+        for c in itertools.combinations(items, k)
+    ]
 
 
 def idle_set(lam: LambdaTuple, params: Params) -> frozenset[int]:

@@ -3,47 +3,47 @@
 Every check is exact; homological certifications carry explicit
 completeness windows and an inconclusive run never counts as a pass.
 Scales: combinatorics up to f = 4 (f = 5 where stated), noncommutative
-homology up to f = 2.
+homology up to f = 2.  Where a criterion repeats a verify suite's check,
+it calls the suite's `check_*` loop from `weightcalc.suites` with its
+own, wider grid; the brute-force oracles stay written out here.
 """
 
 import itertools
+import json
 import math
-from collections import Counter
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from weightcalc.characters import (
-    collision_scan,
-    diff_of_lambda,
-    digit_unique,
-    expected_shift_hits,
-    kvec_diff,
-)
-from weightcalc.cli import RunConfig, SUITES, run
-from weightcalc.cycles import cycle_additivity_check, cycle_of, total_mult_formula
+import weightcalc
+from weightcalc.characters import diff_of_lambda
 from weightcalc.homology.resolution import (
+    TorResult,
     dual_degree_bound_check,
     expected_table,
     minimal_resolution,
     module_generators,
     resolution_tables,
     verify_resolution,
-    wedge_table,
 )
-from weightcalc.homology.taylor import grade_and_cm, is_cm, shellability_check
-from weightcalc.monomial import (
-    Monomial,
-    MonomialIdeal,
-    ideal_a,
-    ideal_a1,
-    ideal_ijd,
-    ideal_in,
-    standard_monomials,
-    total_dimension,
-)
-from weightcalc.repmodel import (
-    chain_model,
-    nonsplit_lattice,
-    split_sigma_model,
-    subquot_char_identity,
+from weightcalc.homology.taylor import grade_and_cm, is_cm
+from weightcalc.monomial import ideal_ijd, type_ideal
+from weightcalc.repmodel import nonsplit_lattice
+from weightcalc.suites import (
+    Recorder,
+    check_additivity,
+    check_closed_form,
+    check_collision_scan,
+    check_digit_unique,
+    check_level_sets,
+    check_maximal_chain,
+    check_pure_patterns,
+    check_shellability,
+    check_subquotients,
+    check_tor_family,
+    check_tor_pattern,
+    check_truncation,
 )
 from weightcalc.weights import (
     Params,
@@ -53,6 +53,7 @@ from weightcalc.weights import (
     enumerate_p,
     enumerate_pss,
     j_set,
+    subsets,
     t_type,
 )
 
@@ -66,9 +67,8 @@ def _line(num: int, name: str, ok: bool, details: str) -> None:
     assert ok, f"criterion {num} ({name}): {details}"
 
 
-def _all_jrho(f: int):
-    for k in range(2**f):
-        yield frozenset(j for j in range(f) if k >> j & 1)
+def _failures(rec: Recorder) -> list[str]:
+    return [f"{c.id}: {c.details}" for c in rec.checks if c.status != "pass"]
 
 
 def _params(f: int, j_rho=None, p: int = 29) -> Params:
@@ -90,7 +90,7 @@ def test_criterion_1_enumeration():
             for c in itertools.combinations(range(f), k)
         }:
             problems.append(f"f={f}: defect sets not a bijection onto subsets")
-        for j_rho in _all_jrho(f) if f <= 4 else [frozenset(), frozenset(range(f))]:
+        for j_rho in subsets(range(f)) if f <= 4 else [frozenset(), frozenset(range(f))]:
             d = enumerate_d(_params(f, j_rho))
             if len(d) != 2 ** len(j_rho):
                 problems.append(f"f={f}, marked={sorted(j_rho)}: {len(d)}")
@@ -119,37 +119,11 @@ def test_criterion_1_enumeration():
 
 
 def test_criterion_2_character_engine():
-    problems = []
-    pairs = 0
-    for f in (1, 2, 3):
-        for p in (29, 61):
-            small = [
-                a
-                for a in itertools.product((-1, 0, 1), repeat=f)
-                if sum(map(abs, a)) <= 3
-            ]
-            wide = [
-                b
-                for b in itertools.product(range(-3, 4), repeat=f)
-                if sum(map(abs, b)) <= 3
-            ]
-            for a in small:
-                wa = sum(map(abs, a))
-                for b in wide:
-                    if sum(map(abs, b)) > wa:
-                        continue
-                    pairs += 1
-                    if not digit_unique(a, b, p):
-                        problems.append(f"digit collision f={f} p={p}: {a} vs {b}")
+    rec = Recorder("characters")
+    pairs = sum(check_digit_unique(rec, f, p, 3) for f in (1, 2, 3) for p in (29, 61))
     for f in (1, 2):
-        params = _params(f)
-        scan = collision_scan(params, 4)
-        if scan.violations:
-            problems.append(f"f={f}: {len(scan.violations)} unclassified collisions")
-        found = {(h.lam.entries, h.mu.entries, h.ivec) for h in scan.hits}
-        missing = expected_shift_hits(params) - found
-        if missing:
-            problems.append(f"f={f}: {len(missing)} shift pairs not found by the scan")
+        check_collision_scan(rec, _params(f), 4)
+    problems = _failures(rec)
     _line(
         2,
         "character engine",
@@ -161,49 +135,16 @@ def test_criterion_2_character_engine():
 
 
 def test_criterion_3_cycles():
-    problems = []
-    formula_cases = 0
-    for f in range(1, 5):
-        for d in range(1, f + 1):
-            for assign in itertools.product((0, 1, 2), repeat=f):
-                J1 = frozenset(j for j, a in enumerate(assign) if a == 1)
-                J2 = frozenset(j for j, a in enumerate(assign) if a == 2)
-                free = [j for j, a in enumerate(assign) if a == 0]
-                for free_tags in itertools.product(
-                    (TTag.Y, TTag.Z, TTag.YZ), repeat=len(free)
-                ):
-                    tags = [TTag.YZ] * f
-                    gens = []
-                    for j, t in zip(free, free_tags):
-                        tags[j] = t
-                        if t is TTag.Y:
-                            gens.append(Monomial.y(j, f))
-                        elif t is TTag.Z:
-                            gens.append(Monomial.z(j, f))
-                    ideal = ideal_ijd(J1, J2, d, f) + MonomialIdeal(f, tuple(gens))
-                    formula_cases += 1
-                    if cycle_of(ideal).total != total_mult_formula(
-                        J1, J2, d, tuple(tags), f
-                    ):
-                        problems.append(
-                            f"closed form off at f={f} d={d} J1={sorted(J1)} J2={sorted(J2)}"
-                        )
-    add_cases = 0
-    for f in range(1, 5):
-        for j_rho in _all_jrho(f):
-            params = _params(f, j_rho)
-            for lam in enumerate_p(params):
-                whole = cycle_of(ideal_a(lam, params)).total
-                for i0 in range(-1, f + 1):
-                    add_cases += 1
-                    big = ideal_a1(lam, i0, params)
-                    from weightcalc.cycles import mult_add_check
-
-                    left, right, total = mult_add_check(lam, i0, params)
-                    if left + right != total or total != whole:
-                        problems.append(f"additivity off at f={f} {lam} i0={i0}")
-                    if not cycle_additivity_check(big, ideal_a(lam, params)):
-                        problems.append(f"cycle additivity off at f={f} {lam} i0={i0}")
+    rec = Recorder("cycles")
+    formula_cases = sum(
+        check_closed_form(rec, f, d) for f in range(1, 5) for d in range(1, f + 1)
+    )
+    add_cases = sum(
+        check_additivity(rec, _params(f, j_rho))
+        for f in range(1, 5)
+        for j_rho in subsets(range(f))
+    )
+    problems = _failures(rec)
     _line(
         3,
         "cycles",
@@ -215,33 +156,21 @@ def test_criterion_3_cycles():
 
 
 def test_criterion_4_commutative_cm():
+    rec = Recorder("homology")
     problems = []
     certs = 0
     for f in (1, 2, 3):
         nv = 2 * f
         # one branch variable per index
-        for tags in itertools.product((TTag.Y, TTag.Z, TTag.YZ), repeat=f):
-            gens = []
-            for j, t in enumerate(tags):
-                if t is TTag.Y:
-                    gens.append(Monomial.y(j, f))
-                elif t is TTag.Z:
-                    gens.append(Monomial.z(j, f))
-            certs += 1
-            v = grade_and_cm(MonomialIdeal(f, tuple(gens)).lift_exponents(), nv)
-            if v.is_cm is not True or v.grade != f:
-                problems.append(f"pattern quotient f={f} {tags}: grade {v.grade}")
+        check_pure_patterns(rec, f, 29)
+        certs += 3**f
         # degree-d products over every two-sided split, plus free types
         for assign in itertools.product((0, 1, 2, 3, 4), repeat=f):
             J1 = frozenset(j for j, a in enumerate(assign) if a == 1)
             J2 = frozenset(j for j, a in enumerate(assign) if a == 2)
-            gens = [
-                Monomial.y(j, f) if a == 3 else Monomial.z(j, f)
-                for j, a in enumerate(assign)
-                if a in (3, 4)
-            ]
+            tags = [{3: TTag.Y, 4: TTag.Z}.get(a, TTag.YZ) for a in assign]
             for d in range(1, max(1, len(J1 | J2)) + 1):
-                ideal = ideal_ijd(J1, J2, d, f) + MonomialIdeal(f, tuple(gens))
+                ideal = ideal_ijd(J1, J2, d, f) + type_ideal(tags)
                 certs += 1
                 v = grade_and_cm(ideal.lift_exponents(), nv)
                 if v.is_cm is not True or v.grade != f:
@@ -249,12 +178,9 @@ def test_criterion_4_commutative_cm():
                         f"product quotient f={f} J1={sorted(J1)} J2={sorted(J2)} d={d}"
                     )
         for d in range(2, f + 2):
-            for k in range(2**f):
-                J1 = frozenset(j for j in range(f) if k >> j & 1)
-                res = shellability_check(J1, frozenset(range(f)) - J1, d, f)
-                certs += 1
-                if not res.shellable:
-                    problems.append(f"shelling failed f={f} J1={sorted(J1)} d={d}")
+            check_shellability(rec, f, d)
+            certs += 2**f
+    problems += _failures(rec)
     if is_cm([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4) is not False:
         problems.append("negative control was not rejected")
     _line(
@@ -302,41 +228,18 @@ def test_criterion_5_noncommutative_tor():
     for f in (1, 2):
         params = _params(f, p=p)
         family = enumerate_p(params)
-        mod = params.q_minus_one
-        tables = [boxed[tuple(t.value for t in t_type(lam, params))] for lam in family]
-        for i in range(2 * f + 1):
-            rows = [tb.row(i) for tb in tables]
-            if sum(len(r) for r in rows) != math.comb(2 * f, i) * len(family):
-                problems.append(f"f={f}: Tor_{i} dimension off")
-            got = sorted(
-                (-diff_of_lambda(lam, params).value + kvec_diff(ch, params)) % mod
-                for lam, row in zip(family, rows)
-                for _, ch in row
-            )
-            want = sorted(
-                (-diff_of_lambda(lam, params).value) % mod
-                for lam in family
-                for _ in range(math.comb(2 * f, i))
-            )
-            if got != want:
-                problems.append(f"f={f}: Tor_{i} character multiset off")
-            if i and any(not i <= e <= 2 * i for row in rows for e, _ in row):
-                problems.append(f"f={f}: Tor_{i} support outside the doubled window")
-        for pat in sorted(set(itertools.product(("Y", "Z", "YZ"), repeat=f))):
-            tb = boxed[pat]
-            if tb.rows != wedge_table(tb.row(1), 2 * f, f).rows:
-                problems.append(f"wedge identity off for {pat}")
-            big = full[pat]
-            for i in range(2 * f + 1):
-                small_row = Counter(tb.row(i))
-                if any(small_row[k] > Counter(big.row(i))[k] for k in small_row):
-                    problems.append(f"inclusion into the deformed table off for {pat} at {i}")
+        rec = Recorder("homology")
+        tables = tuple(boxed[tuple(t.value for t in t_type(lam, params))] for lam in family)
+        check_tor_family(rec, params, family, TorResult(tables, False, ""))
+        for pat in itertools.product(("Y", "Z", "YZ"), repeat=f):
+            check_tor_pattern(rec, pat, boxed[pat], full[pat])
             dual = dual_degree_bound_check(pat, p=p)
             d = sum(1 for t in pat if t == "YZ")
             if not dual.ok or dual.expected_shift != 3 * (f - d) + 4 * d:
                 problems.append(f"dual top shift off for {pat}")
             if dual.expected_shift > 4 * f:
                 problems.append(f"dual shift beyond 4f for {pat}")
+        problems += _failures(rec)
     _line(
         5,
         "noncommutative Tor",
@@ -348,6 +251,7 @@ def test_criterion_5_noncommutative_tor():
 
 
 def test_criterion_6_truncated_quotients():
+    rec = Recorder("homology")
     problems = []
     counts = 0
     for f in range(1, 5):
@@ -355,30 +259,16 @@ def test_criterion_6_truncated_quotients():
         # residues; the constant vector keeps the base characters clean
         params = Params(f, 29, frozenset(range(f)), (2 * f + 1,) * f)
         family = enumerate_p(params)
-        mod = params.q_minus_one
+        # distinct base characters leave no collision forced, so the
+        # multifree checks below pass only when no collision occurs
         diffs = [diff_of_lambda(lam, params).value for lam in family]
         if len(set(diffs)) != len(diffs):
             problems.append(f"f={f}: base characters not distinct for the clean residues")
         for n in range(1, f + 2):
             assert params.validate_genericity(2 * n - 1)
-            pooled: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-            for lam in family:
-                tags = t_type(lam, params)
-                c = sum(1 for t in tags if t is TTag.YZ)
-                ideal = ideal_in(n, f) + ideal_a(lam, params)
-                counts += 1
-                if total_dimension(ideal) != n ** (f - c) * (2 * n - 1) ** c:
-                    problems.append(f"f={f} n={n} {lam}: dimension off")
-                base = (-diff_of_lambda(lam, params).value) % mod
-                for m in standard_monomials(ideal, max_degree=n - 1):
-                    pooled.append(
-                        ((base + kvec_diff(m.kvec(), params)) % mod, lam.entries, m.kvec())
-                    )
-            values = [v for v, _, _ in pooled]
-            if len(values) != len(set(values)):
-                dup = [v for v, k in Counter(values).items() if k > 1][0]
-                members = [(lam, kv) for v, lam, kv in pooled if v == dup]
-                problems.append(f"f={f} n={n}: character collision {members}")
+            check_truncation(rec, params, family, n)
+            counts += len(family)
+    problems += _failures(rec)
     _line(
         6,
         "truncated quotients",
@@ -390,10 +280,11 @@ def test_criterion_6_truncated_quotients():
 
 
 def test_criterion_7_structural_predictions():
+    rec = Recorder("repmodel")
     problems = []
     sub_pairs = 0
     for f in range(1, 5):
-        for j_rho in _all_jrho(f):
+        for j_rho in subsets(range(f)):
             params = _params(f, j_rho)
             for i0 in range(-1, f + 1):
                 state = nonsplit_lattice(i0, params)
@@ -401,31 +292,10 @@ def test_criterion_7_structural_predictions():
                     problems.append(f"f={f} marked={sorted(j_rho)} i0={i0}: functor dim")
                 if i0 == f and state.functor_dim != 2**f:
                     problems.append(f"f={f}: endpoint dimension is not 2^f")
-                for i0p in range(i0 + 1, f + 1):
-                    sub_pairs += 1
-                    chk = subquot_char_identity(i0, i0p, params)
-                    if not (chk.holds and chk.scan_consistent):
-                        problems.append(
-                            f"subquotient identity off at f={f} marked={sorted(j_rho)} ({i0},{i0p})"
-                        )
-            full_chain = chain_model(tuple(range(-1, f + 1)), params)
-            if not (
-                full_chain.valid
-                and full_chain.length == f + 1
-                and full_chain.within_bound
-                and full_chain.steps_disjoint
-            ):
-                problems.append(f"maximal chain off at f={f} marked={sorted(j_rho)}")
-        split_params = _params(f)
-        for k in range(2 ** (f + 1)):
-            sigma = frozenset(i for i in range(f + 1) if k >> i & 1)
-            twice = split_sigma_model(
-                split_sigma_model(sigma, split_params).sigma_dual, split_params
-            ).sigma_dual
-            if twice != sigma:
-                problems.append(f"duality not an involution at f={f} sigma={sorted(sigma)}")
-            if not split_sigma_model(sigma, split_params).balanced:
-                problems.append(f"split halves unbalanced at f={f} sigma={sorted(sigma)}")
+            sub_pairs += check_subquotients(rec, params)
+            check_maximal_chain(rec, params)
+        check_level_sets(rec, _params(f), subsets(range(f + 1)))
+    problems += _failures(rec)
     _line(
         7,
         "structural predictions",
@@ -437,19 +307,23 @@ def test_criterion_7_structural_predictions():
 
 
 def test_criterion_8_determinism():
-    base = dict(
-        f=1, p=29, j_rho=frozenset({0}), r=(13,), suites=tuple(SUITES)
-    )
-    seq = run(RunConfig(**base, jobs=1)).as_dict(with_timings=False)
-    par = run(RunConfig(**base, jobs=8)).as_dict(with_timings=False)
-    seq["config"].pop("jobs")
-    par["config"].pop("jobs")
-    ok = seq == par
+    src = Path(weightcalc.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "weightcalc.cli", "verify", "--f", "1", "--p", "29"]
+    argv += ["--jrho", "0", "--r", "13", "--format", "json"]
+    docs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        doc.pop("timings")
+        docs.append(doc)
+    ok = docs[0] == docs[1]
     _line(
         8,
         "determinism",
         ok,
-        "reports identical across jobs in {1, 8} modulo timings"
+        "reports identical across hash seeds 0 and 1 modulo timings"
         if ok
-        else "reports diverged between jobs=1 and jobs=8",
+        else "reports diverged between hash seeds 0 and 1",
     )

@@ -79,15 +79,6 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(_config(p=10))
 
-    def test_jobs_do_not_change_results(self):
-        seq = run(_config(jobs=1))
-        par = run(_config(jobs=8))
-        a = seq.as_dict(with_timings=False)
-        b = par.as_dict(with_timings=False)
-        a["config"].pop("jobs")
-        b["config"].pop("jobs")
-        assert a == b
-
     def test_rerun_is_deterministic(self):
         one = run(_config()).as_dict(with_timings=False)
         two = run(_config()).as_dict(with_timings=False)
@@ -180,12 +171,14 @@ class TestMainVerify:
     def test_report_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
-            f"verify --f 1 --p 29 --jrho 0 --r 13 --suite enumeration --out {out}".split()
+            f"verify --f 1 --p 29 --jrho 0 --r 13 --suite enumeration --out {out} "
+            "--format json".split()
         )
-        capsys.readouterr()
+        printed = json.loads(capsys.readouterr().out)
         assert code == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"config", "suites", "summary", "timings"}
+        assert doc == printed
 
     def test_gate_failure_exit_2(self, capsys):
         code = main("verify --f 1 --p 7 --jrho 0 --r 3 --suite cycles".split())

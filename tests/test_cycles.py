@@ -30,6 +30,7 @@ from weightcalc.weights import (
     enumerate_p,
     from_symbols,
     star_involution,
+    subsets,
     t_type,
 )
 
@@ -38,12 +39,6 @@ def mk(f: int, j_rho=(), p: int = 29, r=None) -> Params:
     if r is None:
         r = tuple(9 + j for j in range(f))
     return Params(f=f, p=p, j_rho=frozenset(j_rho), r=tuple(r))
-
-
-def _subsets(items):
-    items = sorted(items)
-    for k in range(2 ** len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if k >> i & 1)
 
 
 class TestCycleVector:
@@ -97,7 +92,7 @@ class TestCycleOf:
 
     def test_type_ideal_support(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     tags = t_type(lam, params)
@@ -139,7 +134,7 @@ class TestTotalMultFormula:
         # every split of indices into product sets, typed rest, all levels
         for f in (1, 2, 3, 4):
             idxs = range(f)
-            for J in _subsets(idxs):
+            for J in subsets(idxs):
                 rest = [j for j in idxs if j not in J]
                 for k1 in range(len(J) + 1):
                     Js = sorted(J)
@@ -178,7 +173,7 @@ class TestMultAdd:
 
     def test_all_small_cases(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     for i0 in range(-1, f + 1):
@@ -187,7 +182,7 @@ class TestMultAdd:
 
     def test_star_preserves_type_cycle(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     star = star_involution(lam, params)
@@ -205,7 +200,7 @@ class TestAdditivity:
 
     def test_levelwise_chain(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     for i0 in range(-1, f):

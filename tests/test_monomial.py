@@ -33,6 +33,7 @@ from weightcalc.weights import (
     enumerate_p,
     from_symbols,
     j_set,
+    subsets,
     t_type,
 )
 
@@ -41,12 +42,6 @@ def mk(f: int, j_rho=(), p: int = 29, r=None) -> Params:
     if r is None:
         r = tuple(9 + j for j in range(f))
     return Params(f=f, p=p, j_rho=frozenset(j_rho), r=tuple(r))
-
-
-def _subsets(items):
-    items = sorted(items)
-    for k in range(2 ** len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if k >> i & 1)
 
 
 class TestMonomial:
@@ -156,7 +151,7 @@ class TestIdealA:
 
     def test_matches_tags_everywhere(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     ideal = ideal_a(lam, params)
@@ -242,7 +237,7 @@ class TestIdealA1:
 
     def test_unit_iff_below_jset(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     for i0 in range(-1, f + 1):
@@ -251,7 +246,7 @@ class TestIdealA1:
 
     def test_collapses_to_type_ideal(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     J1, J2 = a1_index_sets(lam, params)
@@ -265,7 +260,7 @@ class TestIdealA1:
 
     def test_decreasing_in_level(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     prev = ideal_a1(lam, -1, params)
@@ -325,7 +320,7 @@ class TestHilbert:
 
     def test_against_convolution_oracle(self):
         for f in (1, 2):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     for n in (1, 2, 3):
@@ -336,7 +331,7 @@ class TestHilbert:
 
     def test_total_dimension_product_formula(self):
         for f in (1, 2, 3):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho)
                 for lam in enumerate_p(params):
                     tags = t_type(lam, params)
@@ -413,7 +408,7 @@ class TestGradedCharacters:
         # residues chosen away from the degenerate middle of the window
         n = 3
         for f, r in ((1, (6,)), (2, (6, 16))):
-            for j_rho in _subsets(range(f)):
+            for j_rho in subsets(range(f)):
                 params = mk(f, j_rho, r=r)
                 params.require_genericity(2 * n - 1)
                 for lam in enumerate_p(params):

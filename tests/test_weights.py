@@ -29,6 +29,7 @@ from weightcalc.weights import (
     pss_to_p_projection,
     shift_by_s,
     star_involution,
+    subsets,
     t_type,
     transfer_matrix_count,
 )
@@ -95,6 +96,19 @@ class TestEnumeration:
         assert {j_set(lam) for lam in dss} == set(
             frozenset(s) for k in range(2**f) for s in [[j for j in range(f) if k >> j & 1]]
         )
+
+    def test_subsets_by_size_then_lexicographic(self):
+        # the order of the split-product checks in a report follows it
+        assert subsets({2, 0, 1}) == [
+            frozenset(),
+            frozenset({0}),
+            frozenset({1}),
+            frozenset({2}),
+            frozenset({0, 1}),
+            frozenset({0, 2}),
+            frozenset({1, 2}),
+            frozenset({0, 1, 2}),
+        ]
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_restricted_diagonal_family_counts(self, f):
