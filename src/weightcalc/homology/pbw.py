@@ -16,43 +16,43 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 MonoKey = tuple[tuple[int, int, int], ...]
 
 
-def _swap_products(b1: int, a2: int):
-    """Coefficients for straightening z^b1 * y^a2.
+@lru_cache(maxsize=None)
+def _local_product(
+    t1: tuple[int, int, int], t2: tuple[int, int, int], p: int
+) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """Normal-form terms of one factor's product y^a1 z^b1 h^c1 * y^a2 z^b2 h^c2,
+    straightening z^b1 * y^a2 by
 
     z^b y^a = sum_k (-1)^k k! C(a,k) C(b,k) h^k y^(a-k) z^(b-k).
     """
+    a1, b1, c1 = t1
+    a2, b2, c2 = t2
+    out = []
     for k in range(min(a2, b1) + 1):
         coeff = (-1) ** k * math.factorial(k) * math.comb(a2, k) * math.comb(b1, k)
-        yield k, coeff
+        cm = coeff % p
+        if cm:
+            out.append(((a1 + a2 - k, b1 + b2 - k, c1 + c2 + k), cm))
+    return tuple(out)
 
 
 def multiply_keys(k1: MonoKey, k2: MonoKey, p: int) -> dict[MonoKey, int]:
     """Normal-form product of two basis monomials."""
-    f = len(k1)
-    per_index: list[list[tuple[tuple[int, int, int], int]]] = []
-    for j in range(f):
-        a1, b1, c1 = k1[j]
-        a2, b2, c2 = k2[j]
-        local = []
-        for k, coeff in _swap_products(b1, a2):
-            cm = coeff % p
-            if cm:
-                local.append(((a1 + a2 - k, b1 + b2 - k, c1 + c2 + k), cm))
-        per_index.append(local)
+    per_index = [_local_product(t1, t2, p) for t1, t2 in zip(k1, k2)]
+    # the local terms at each index have distinct keys, so every
+    # combination gives a distinct key
     out: dict[MonoKey, int] = {}
     for combo in itertools.product(*per_index):
-        key = tuple(t for t, _ in combo)
         coeff = 1
         for _, c in combo:
             coeff = coeff * c % p
         if coeff:
-            out[key] = (out.get(key, 0) + coeff) % p
-            if not out[key]:
-                del out[key]
+            out[tuple(t for t, _ in combo)] = coeff
     return out
 
 

@@ -2,18 +2,25 @@
 
 The algebra is a tensor product, one factor per index, of F_p-algebras
 on y, z, h with zy = yz - h and h central.  Modules are cyclic left
-quotients presented by homogeneous generators; resolutions are built
-degree by degree: at each (internal degree, per-index character) slice
-the kernel of the previous map is computed by exact linear algebra and
-new generators are exactly the kernel vectors not already reached by
-multiples of generators found in lower slices.  That choice makes every
-transition map vanish after applying F tensor (-), so the ranks are
-Betti numbers and the generator shifts read off Tor directly.
+quotients presented by homogeneous generators.  A resolution is built
+one (internal degree, per-index character) slice at a time, by degree,
+then character, then homological level: at each slice the kernel of
+the level's map is computed by exact linear algebra, and new generators
+of the next level are exactly the kernel vectors not already reached by
+multiples of its generators found in lower slices.  Those multiples,
+followed by the new generators, are the columns of the next level's map
+on the same slice, so each step hands its slice images on to the next
+and only the first map is assembled from the presentation generators.
+That choice of generators makes every transition map vanish after applying
+F tensor (-), so the ranks are Betti numbers and the generator shifts
+read off Tor directly.  The exactness recheck rebuilds every slice map
+from the finished resolution on its own and ranks each slice once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +29,7 @@ from weightcalc.homology.pbw import PbwElement, multiply_keys
 
 CharVec = tuple[int, ...]
 Shift = tuple[int, CharVec]  # (internal degree, per-index y-minus-z count)
+Generator = tuple[Shift, tuple[PbwElement, ...]]  # shift and free-module vector
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +136,30 @@ def _image(
     return row
 
 
+def _multiples(
+    found: Iterable[Generator],
+    deg: int,
+    w: CharVec,
+    index: dict[tuple[int, tuple], int],
+    f: int,
+    p: int,
+) -> Iterator[Row]:
+    """Slice coordinates of every algebra multiple m * v of the generators
+    (shift, v) in found, in the order of the basis those multiples span."""
+    for (ge, gu), vec in found:
+        for m in slice_keys(f, deg - ge, _sub_char(w, gu)):
+            yield _image(m, vec, index, p)
+
+
+def _rows(cols: list[Row], nrows: int) -> list[Row]:
+    """Sparse rows of the matrix with the given sparse columns."""
+    rows: list[Row] = [{} for _ in range(nrows)]
+    for col, img in enumerate(cols):
+        for pos, c in img.items():
+            rows[pos][col] = c
+    return rows
+
+
 def _map_matrix(
     src_shifts: tuple[Shift, ...],
     vecs: tuple[tuple[PbwElement, ...], ...],
@@ -136,40 +168,17 @@ def _map_matrix(
     w: CharVec,
     f: int,
     p: int,
-):
-    """Sparse rows of the slice map, one per target basis element, with
-    one column per source basis element."""
-    src_basis = _module_basis(src_shifts, deg, w, f)
+) -> tuple[list[Row], int]:
+    """Sparse rows of the slice map, one per target basis element, and
+    its column count, one column per source basis element."""
     tgt_basis = _module_basis(tgt_shifts, deg, w, f)
     index = {bm: i for i, bm in enumerate(tgt_basis)}
-    rows: list[Row] = [{} for _ in tgt_basis]
-    for col, (s, m) in enumerate(src_basis):
-        for pos, c in _image(m, vecs[s], index, p).items():
-            rows[pos][col] = c
-    return rows, src_basis, tgt_basis
-
-
-def _old_span(
-    found: list[tuple[Shift, tuple[PbwElement, ...]]],
-    deg: int,
-    w: CharVec,
-    index: dict,
-    f: int,
-    p: int,
-) -> RowSpan:
-    """Slice span of all algebra multiples of already-found generators."""
-    return RowSpan(
-        p,
-        (
-            _image(m, vec, index, p)
-            for (ge, gu), vec in found
-            for m in slice_keys(f, deg - ge, _sub_char(w, gu))
-        ),
-    )
+    cols = list(_multiples(zip(src_shifts, vecs), deg, w, index, f, p))
+    return _rows(cols, len(tgt_basis)), len(cols)
 
 
 def _char_candidates(
-    shifts: tuple[Shift, ...], deg: int, f: int
+    shifts: Iterable[Shift], deg: int, f: int
 ) -> list[CharVec]:
     out = set()
     for e, u in shifts:
@@ -182,41 +191,47 @@ def _char_candidates(
     return sorted(out)
 
 
-def _syzygy_step(
-    src_shifts: tuple[Shift, ...],
-    vecs: tuple[tuple[PbwElement, ...], ...],
-    tgt_shifts: tuple[Shift, ...],
-    dmax: int,
-    f: int,
-    p: int,
-) -> list[tuple[Shift, tuple[PbwElement, ...]]]:
-    """Minimal generators of the kernel, lowest degree first."""
-    found: list[tuple[Shift, tuple[PbwElement, ...]]] = []
-    if not src_shifts:
-        return found
-    for deg in range(min(e for e, _ in src_shifts), dmax + 1):
-        for w in _char_candidates(src_shifts, deg, f):
-            rows, src_basis, _ = _map_matrix(
-                src_shifts, vecs, tgt_shifts, deg, w, f, p
-            )
-            ker = nullspace_mod(rows, len(src_basis), p)
-            if not ker:
-                continue
-            index = {bm: i for i, bm in enumerate(src_basis)}
-            span = _old_span(found, deg, w, index, f, p)
-            old_rank = span.rank
-            fresh = []
-            for row in ker:
-                rem = span.add(row)
-                if rem is not None:
-                    fresh.append(rem)
-            # the old span sits inside the kernel, so the count must close up
-            if old_rank + len(fresh) != len(ker):
-                raise AssertionError("span bookkeeping out of step with kernel")
-            for rem in fresh:
-                vec = _row_to_vector(rem, src_basis, len(src_shifts), f, p)
-                found.append(((deg, w), vec))
-    return found
+def _resolve_slices(
+    gens: list[PbwElement], top: int, dmax: int, f: int, p: int
+) -> list[list[Generator]]:
+    """Generators of levels 1 to top, each level lowest degree first.
+
+    Slices are taken by degree, then character, and at each slice level
+    by level.  Step L keeps the kernel vectors of the level-L map that
+    the multiples of earlier level-(L+1) generators do not reach.  Those
+    multiples, followed by the kept remainders, are the columns of the
+    level-(L+1) map on the same slice, so step L+1 takes them as its
+    matrix.  Vectors have one component per generator found so far.
+    """
+    base: tuple[Shift, ...] = ((0, (0,) * f),)
+    levels: list[list[Generator]] = [[(vector_shift((g,), base), (g,)) for g in gens]]
+    levels += [[] for _ in range(top - 1)]
+    for deg in range(1, dmax + 1):
+        known = {sh for level in levels for sh, _ in level}
+        for w in _char_candidates(known, deg, f):
+            basis = _module_basis(base, deg, w, f)
+            index = {bm: i for i, bm in enumerate(basis)}
+            cols = list(_multiples(levels[0], deg, w, index, f, p))
+            for lower, upper in zip(levels, levels[1:]):
+                ntgt, basis = len(basis), _module_basis((sh for sh, _ in lower), deg, w, f)
+                if not basis:
+                    # a multiple of a higher generator would be a nonzero
+                    # vector here, so the levels above are empty too
+                    break
+                ker = nullspace_mod(_rows(cols, ntgt), len(basis), p)
+                index = {bm: i for i, bm in enumerate(basis)}
+                cols = list(_multiples(upper, deg, w, index, f, p))
+                span = RowSpan(p, cols)
+                old_rank = span.rank
+                fresh = [rem for rem in map(span.add, ker) if rem is not None]
+                # the old span sits inside the kernel, so the count must close up
+                if old_rank + len(fresh) != len(ker):
+                    raise AssertionError("span bookkeeping out of step with kernel")
+                for rem in fresh:
+                    vec = _row_to_vector(rem, basis, len(lower), f, p)
+                    upper.append(((deg, w), vec))
+                cols += fresh
+    return levels
 
 
 def minimalize_elements(
@@ -230,12 +245,12 @@ def minimalize_elements(
             continue
         items.append((vector_shift((el,), shifts), el))
     items.sort(key=lambda t: (t[0], sorted(t[1].terms)))
-    kept: list[tuple[Shift, tuple[PbwElement, ...]]] = []
+    kept: list[Generator] = []
     out: list[PbwElement] = []
     for (deg, w), group in itertools.groupby(items, key=lambda t: t[0]):
         basis = _module_basis(shifts, deg, w, f)
         index = {bm: i for i, bm in enumerate(basis)}
-        span = _old_span(kept, deg, w, index, f, p)
+        span = RowSpan(p, _multiples(kept, deg, w, index, f, p))
         for _, el in group:
             if span.add(_expand((el,), index)) is not None:
                 kept.append(((deg, w), (el,)))
@@ -346,44 +361,51 @@ def minimal_resolution(
         if g.terms and g.degree == 0:
             raise ValueError("unit ideal: zero module has no minimal resolution")
     gens = minimalize_elements(gens, f, p)
-    zero_char: CharVec = (0,) * f
-    shifts: list[tuple[Shift, ...]] = [((0, zero_char),)]
+    shifts: list[tuple[Shift, ...]] = [((0, (0,) * f),)]
     maps: list[tuple[tuple[PbwElement, ...], ...]] = []
+    next_empty: bool | None = None if gens else True
     if gens and imax >= 1:
-        shifts.append(tuple(vector_shift((g,), shifts[0]) for g in gens))
-        maps.append(tuple((g,) for g in gens))
-        level = 1
-        while level < imax:
-            found = _syzygy_step(
-                shifts[level], maps[level - 1], shifts[level - 1], dmax, f, p
-            )
-            if not found:
+        # the completion probe is one more level
+        top = imax + 1 if probe_completion else imax
+        levels = _resolve_slices(gens, top, dmax, f, p)
+        for level in levels[:imax]:
+            if not level:
                 break
-            shifts.append(tuple(sh for sh, _ in found))
-            maps.append(tuple(vec for _, vec in found))
-            level += 1
-    next_empty: bool | None = None
-    if not gens:
-        next_empty = True
-    elif probe_completion and maps:
-        probe = _syzygy_step(shifts[-1], maps[-1], shifts[-2], dmax, f, p)
-        next_empty = not probe
-    elif len(shifts) - 1 < imax:
-        # the loop stopped early because a kernel came up empty in-window
-        next_empty = True
+            # a vector has one component per generator found before it;
+            # pad it to the whole level below
+            width = len(shifts[-1])
+            shifts.append(tuple(sh for sh, _ in level))
+            maps.append(
+                tuple(
+                    vec + tuple(PbwElement.zero(f, p) for _ in range(width - len(vec)))
+                    for _, vec in level
+                )
+            )
+        if len(shifts) <= imax:
+            # a kernel with no new generator in-window ends the resolution
+            next_empty = True
+        elif probe_completion:
+            next_empty = not levels[imax]
     return Resolution(
         f, p, dmax, tuple(shifts), tuple(maps), next_empty
     )
 
 
 def verify_resolution(res: Resolution) -> bool:
-    """Independent exactness recheck: consecutive maps compose to zero
-    symbolically, and slice ranks match kernel dimensions up to dmax."""
+    """Independent exactness recheck: every vector has one component per
+    target generator, consecutive maps compose to zero symbolically, and
+    slice ranks match kernel dimensions up to dmax."""
     f, p = res.f, res.p
+    if len(res.maps) != len(res.shifts) - 1 or any(
+        len(vecs) != len(res.shifts[i + 1])
+        or any(len(vec) != len(res.shifts[i]) for vec in vecs)
+        for i, vecs in enumerate(res.maps)
+    ):
+        return False
     for i in range(1, len(res.maps)):
         upper, lower = res.maps[i], res.maps[i - 1]
+        width = len(res.shifts[i - 1])
         for vec in upper:
-            width = len(lower[0])
             acc = [PbwElement.zero(f, p) for _ in range(width)]
             for s, coeff in enumerate(vec):
                 if not coeff.terms:
@@ -392,18 +414,23 @@ def verify_resolution(res: Resolution) -> bool:
                     acc[k] = acc[k] + coeff * lower[s][k]
             if any(a.terms for a in acc):
                 return False
+    # (rank, column count) of maps[i] on each slice; map i is the upper
+    # map at index i and the lower one at index i + 1
+    ranks: dict[tuple[int, int, CharVec], tuple[int, int]] = {}
+
+    def slice_rank(i: int, deg: int, w: CharVec) -> tuple[int, int]:
+        if (i, deg, w) not in ranks:
+            rows, ncols = _map_matrix(
+                res.shifts[i + 1], res.maps[i], res.shifts[i], deg, w, f, p
+            )
+            ranks[(i, deg, w)] = rank_mod(rows, p), ncols
+        return ranks[(i, deg, w)]
+
     for i in range(1, len(res.maps)):
-        src, mid, tgt = res.shifts[i + 1], res.shifts[i], res.shifts[i - 1]
         for deg in range(res.dmax + 1):
-            for w in _char_candidates(mid, deg, f):
-                low, mid_basis, _ = _map_matrix(
-                    mid, res.maps[i - 1], tgt, deg, w, f, p
-                )
-                if not mid_basis:
-                    continue
-                high, _, _ = _map_matrix(src, res.maps[i], mid, deg, w, f, p)
-                ker_dim = len(mid_basis) - rank_mod(low, p)
-                if rank_mod(high, p) != ker_dim:
+            for w in _char_candidates(res.shifts[i], deg, f):
+                low, nmid = slice_rank(i - 1, deg, w)
+                if nmid and slice_rank(i, deg, w)[0] != nmid - low:
                     return False
     return True
 

@@ -211,6 +211,15 @@ class TestPbw:
         u, v, w = data.draw(elem), data.draw(elem), data.draw(elem)
         assert (u * v) * w == u * (v * w)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_associativity_two_indices(self, data):
+        p = data.draw(st.sampled_from([5, 29]))
+        local = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1))
+        mono = st.tuples(local, local).map(lambda key: PbwElement.monomial(key, p))
+        u, v, w = data.draw(mono), data.draw(mono), data.draw(mono)
+        assert (u * v) * w == u * (v * w)
+
 
 ALL_TAGS = ("Y", "Z", "YZ")
 
@@ -528,6 +537,39 @@ class TestTwoIndexResolutions:
         )
         assert t.dims() == (1, 4, 6, 4, 1)
 
+    @pytest.mark.parametrize(
+        "tags, with_in, imax, dmax, probe, dims, complete",
+        [
+            (("Y",), False, 1, 6, True, (1, 2), False),
+            (("Y",), False, 2, 5, False, (1, 2, 1), None),
+            (("Y",), False, 0, 4, True, (1,), None),
+            (("Y",), False, 3, 9, True, (1, 2, 1), True),
+            (("Y",), True, 1, 6, True, (1, 3), False),
+            (("Y",), True, 2, 5, False, (1, 3, 3), None),
+            (("Y",), True, 0, 4, True, (1,), None),
+            (("Y",), True, 3, 9, True, (1, 3, 3, 1), True),
+            (("YZ", "Z"), False, 1, 6, True, (1, 4), False),
+            (("YZ", "Z"), False, 2, 5, False, (1, 4, 6), None),
+            (("YZ", "Z"), False, 0, 4, True, (1,), None),
+            (("YZ", "Z"), False, 6, 10, True, (1, 4, 6, 4, 1), True),
+            # level 3 has a generator at (4, (1, -1)), found before the
+            # level-2 generator at (4, (1, 3))
+            (("Y", "Z"), True, 3, 5, False, (1, 6, 14, 6), None),
+        ],
+    )
+    def test_window_and_probe(self, tags, with_in, imax, dmax, probe, dims, complete):
+        # early stop at an empty level, the completion probe, and vectors
+        # with one component per generator of the level below
+        p = 29
+        gens = reso.module_generators(tags, with_in, 3, p)
+        res = reso.minimal_resolution(
+            gens, imax, dmax, p, f=len(tags), probe_completion=probe
+        )
+        assert res.betti().dims() == dims
+        assert res.next_kernel_empty is complete
+        for i, vecs in enumerate(res.maps):
+            assert all(len(vec) == len(res.shifts[i]) for vec in vecs)
+
     def test_tor_dim_identity_binomial(self):
         # undeformed quotient Tor dimensions depend only on the index count
         import math
@@ -548,6 +590,18 @@ class TestVerification:
         bad_gen = (res.maps[0][0][0] + PbwElement.one(res.f, res.p),)
         bad_maps = ((bad_gen,) + res.maps[0][1:],) + res.maps[1:]
         broken = dataclasses.replace(res, maps=bad_maps)
+        assert not reso.verify_resolution(broken)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_verify_rejects_short_vectors(self, k):
+        # a level-2 vector missing its trailing (zero) component
+        res = reso.resolution_tables("YZ", True, verify=False).resolution
+        vecs = list(res.maps[1])
+        assert not vecs[k][-1].terms
+        vecs[k] = vecs[k][:-1]
+        broken = dataclasses.replace(
+            res, maps=(res.maps[0], tuple(vecs)) + res.maps[2:]
+        )
         assert not reso.verify_resolution(broken)
 
     def test_euler_of_slices(self):
