@@ -142,7 +142,12 @@ def run(config: RunConfig) -> Report:
     results: list[SuiteResult] = []
     for name in names:
         start = time.perf_counter()
-        checks = SUITES[name](params, config.max_degree)
+        try:
+            checks = SUITES[name](params, config.max_degree)
+        except Exception as exc:
+            # an exception escaping a suite is a failed check, not a crash
+            details = f"{type(exc).__name__}: {exc}"
+            checks = [Check(f"{name}.uncaught.0", "the suite completes", "fail", details)]
         timings[name] = time.perf_counter() - start
         results.append(SuiteResult(name, tuple(checks)))
     return Report(config=config, suites=tuple(results), timings=timings)
@@ -252,7 +257,7 @@ def _cmd_hilbert(args) -> int:
     params = _base_params(args)
     lam = _lambda_of(args, params)
     ideal = _ideal_of(args, lam, params)
-    dmax = args.max_degree if args.max_degree is not None else 6
+    dmax = args.max_degree
     dims = hilbert_function(ideal, dmax)
     doc = {"lam": str(lam), "i0": args.i0, "ideal": str(ideal), "dims": list(dims)}
     _emit(doc, f"{lam}  ->  {ideal}\ndims through degree {dmax}: {list(dims)}", args.format)
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--lam", required=True, help="tuple symbols, e.g. x,p-1-x")
         p_cmd.add_argument("--i0", type=int, default=None, help="threshold level")
         if extra:
-            p_cmd.add_argument("--max-degree", type=int, default=None)
+            p_cmd.add_argument("--max-degree", type=int, default=6)
         p_cmd.add_argument("--format", choices=("json", "text"), default="text")
         p_cmd.set_defaults(fn=fn)
 
@@ -383,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_degree = getattr(args, "max_degree", None)
+        if max_degree is not None and max_degree < 0:
+            raise ConfigError(f"--max-degree must be nonnegative, got {max_degree}")
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

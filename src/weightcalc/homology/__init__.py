@@ -11,7 +11,6 @@ from weightcalc.homology.pbw import PbwElement
 from weightcalc.homology.taylor import (
     ExtSummary,
     grade_and_cm,
-    is_cm,
     shellability_check,
     taylor_ext_ranks,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "dual_degree_bound_check",
     "expected_factor_table",
     "grade_and_cm",
-    "is_cm",
     "minimal_resolution",
     "module_generators",
     "nullspace_mod",

@@ -9,6 +9,9 @@ multidegree.  Scanning the finite clamp grid therefore certifies the
 vanishing set of all Ext modules completely; per-total-degree
 dimensions follow from closed-form lattice-point counts over each
 clamp cell.
+
+Activity patterns are int bitsets over the generator subsets (bit s for
+subset s), built from per-threshold masks and cached by that int.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from weightcalc.homology.linalg import rank_mod
 from weightcalc.monomial import minimal_exponents
@@ -63,14 +64,46 @@ class ExtSummary:
         return {}
 
 
-def _subset_lcms(gens: tuple[tuple[int, ...], ...], nvars: int) -> np.ndarray:
-    r = len(gens)
-    lcms = np.zeros((1 << r, nvars), dtype=np.int64)
-    exps = np.array(gens, dtype=np.int64).reshape(r, nvars)
-    for s in range(1, 1 << r):
-        low = (s & -s).bit_length() - 1
-        lcms[s] = np.maximum(lcms[s ^ (1 << low)], exps[low])
+def _monomial_count(deg: int, nvars: int) -> int:
+    """Number of monomials of degree deg in nvars variables."""
+    if deg < 0:
+        return 0
+    return math.comb(deg + nvars - 1, nvars - 1) if nvars else int(deg == 0)
+
+
+def _subset_lcms(
+    gens: tuple[tuple[int, ...], ...], nvars: int
+) -> list[tuple[int, ...]]:
+    """lcm exponents of every generator subset, indexed by subset bitmask."""
+    lcms = [(0,) * nvars]
+    for g in gens:
+        lcms += [tuple(map(max, row, g)) for row in lcms]
     return lcms
+
+
+def _subset_masks(gens, nvars: int) -> tuple[int, list[int], list[list[int]]]:
+    """Bitsets over the 2^r generator subsets, bit s for subset s.
+
+    `full` holds every subset, `without[i]` those that do not contain
+    generator i, and `reach[v][t]` those whose lcm has exponent at least
+    t in variable v, for t from 0 to one past the largest exponent
+    (where it is empty).
+    """
+    r = len(gens)
+    full = (1 << (1 << r)) - 1
+    # subsets containing generator i: runs of 2^i zeros, then 2^i ones
+    has = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(r)]
+    reach = []
+    for v in range(nvars):
+        masks = [full]
+        for t in range(1, max((g[v] for g in gens), default=0) + 2):
+            m = 0
+            for g, h in zip(gens, has):
+                if g[v] >= t:
+                    m |= h
+            masks.append(m)
+        reach.append(masks)
+    return full, [full ^ h for h in has], reach
 
 
 def _boundary_matrix(
@@ -92,14 +125,13 @@ def _boundary_matrix(
     return rows
 
 
-def _pattern_homology(
-    active: np.ndarray, r: int, prime: int
-) -> dict[int, int]:
+def _pattern_homology(active: int, r: int, prime: int) -> dict[int, int]:
     """Nonzero cohomology dimensions of the dual complex on an active
-    upper set of generator subsets."""
+    upper set of generator subsets, given as a bitset."""
     levels: list[list[int]] = [[] for _ in range(r + 1)]
-    for s in np.nonzero(active)[0]:
-        levels[int(s).bit_count()].append(int(s))
+    for s, bit in enumerate(reversed(bin(active)[2:])):
+        if bit == "1":
+            levels[s.bit_count()].append(s)
     ranks = []
     for k in range(r):
         if not levels[k] or not levels[k + 1]:
@@ -115,23 +147,22 @@ def _pattern_homology(
     return out
 
 
-def _is_acyclic_cone(active: np.ndarray, r: int) -> bool:
+def _is_acyclic_cone(active: int, without: list[int]) -> bool:
     """Cheap acyclicity certificate for one clamp cell.
 
     The inactive subsets form a lower set; when it is closed under
     adding some generator b it is a cone with apex b, its reduced
     cohomology vanishes, and the active-part complex is exact.  Only
     valid when the empty set is inactive, i.e. away from the all-zero
-    clamp.
+    clamp.  Closure fails at b exactly when some subset s without b is
+    inactive while s + {b} is active; `without` is from `_subset_masks`.
     """
-    if active[0]:
+    if active & 1:
         return False
-    idx = np.arange(active.size)
     inactive = ~active
-    for b in range(r):
-        if np.all(active | inactive[idx | (1 << b)]):
-            return True
-    return False
+    return any(
+        not inactive & (active >> (1 << b)) & w for b, w in enumerate(without)
+    )
 
 
 def taylor_ext_ranks(
@@ -140,7 +171,6 @@ def taylor_ext_ranks(
     imax: int | None = None,
     dmax: int = 0,
     prime: int = 29,
-    gen_cap: int = GEN_CAP,
 ) -> ExtSummary:
     """Certified Ext^i(R/I, R) vanishing set plus per-degree dimensions.
 
@@ -151,56 +181,46 @@ def taylor_ext_ranks(
     pass.
     """
     gens = _normalize_gens(gens, nvars)
-    base = dict(nvars=nvars, gens=gens, prime=prime)
-    if any(sum(g) == 0 for g in gens):
-        return ExtSummary(
-            **base,
-            zero_module=True,
-            inconclusive=False,
-            reason="unit ideal: zero module",
-            nonzero_indices=(),
-            degree_dims=(),
-        )
     r = len(gens)
-    if r > gen_cap:
-        return ExtSummary(
-            **base,
-            zero_module=False,
-            inconclusive=True,
-            reason=f"{r} generators exceed the cap {gen_cap}",
-            nonzero_indices=(),
-            degree_dims=(),
-        )
     maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
     grid_size = math.prod(m + 1 for m in maxexp)
-    if grid_size > GRID_CAP:
-        return ExtSummary(
-            **base,
-            zero_module=False,
-            inconclusive=True,
-            reason=f"clamp grid of size {grid_size} exceeds the cap {GRID_CAP}",
-            nonzero_indices=(),
-            degree_dims=(),
-        )
-    lcms = _subset_lcms(gens, nvars)
-    pattern_cache: dict[bytes, dict[int, int]] = {}
+    zero_module = any(sum(g) == 0 for g in gens)
+    reason = ""
+    if zero_module:
+        reason = "unit ideal: zero module"
+    elif r > GEN_CAP:
+        reason = f"{r} generators exceed the cap {GEN_CAP}"
+    elif grid_size > GRID_CAP:
+        reason = f"clamp grid of size {grid_size} exceeds the cap {GRID_CAP}"
+    base = dict(
+        nvars=nvars,
+        gens=gens,
+        prime=prime,
+        zero_module=zero_module,
+        inconclusive=bool(reason) and not zero_module,
+        reason=reason,
+    )
+    if reason:
+        return ExtSummary(**base, nonzero_indices=(), degree_dims=())
+    full, without, reach = _subset_masks(gens, nvars)
+    pattern_cache: dict[int, dict[int, int]] = {}
     # cells: map homological index -> list of (fixed degree sum, free coords, dim)
     cells: dict[int, list[tuple[int, int, int]]] = {}
     nonzero: set[int] = set()
     for depths in itertools.product(*(range(m + 1) for m in maxexp)):
-        t = np.array(depths, dtype=np.int64)
-        active = np.all(lcms >= t, axis=1)
-        if not active.any():
+        active = full
+        for masks, t in zip(reach, depths):
+            active &= masks[t]
+        if not active:
             continue
         # full active set = augmented simplex complex, exact for r >= 1
-        if r and active.all():
+        if r and active == full:
             continue
-        if _is_acyclic_cone(active, r):
+        if _is_acyclic_cone(active, without):
             continue
-        key = active.tobytes()
-        if key not in pattern_cache:
-            pattern_cache[key] = _pattern_homology(active, r, prime)
-        hom = pattern_cache[key]
+        if active not in pattern_cache:
+            pattern_cache[active] = _pattern_homology(active, r, prime)
+        hom = pattern_cache[active]
         if not hom:
             continue
         fixed = -sum(depths)
@@ -215,24 +235,11 @@ def taylor_ext_ranks(
         per_degree: dict[int, int] = {}
         for fixed, nfree, h in cells.get(i, []):
             for deg in range(dmin, dmax + 1):
-                extra = deg - fixed
-                if extra < 0:
-                    continue
-                if nfree == 0:
-                    count = 1 if extra == 0 else 0
-                else:
-                    count = math.comb(extra + nfree - 1, nfree - 1)
+                count = _monomial_count(deg - fixed, nfree)
                 if count:
                     per_degree[deg] = per_degree.get(deg, 0) + h * count
         degree_dims.append((i, tuple(sorted(per_degree.items()))))
-    return ExtSummary(
-        **base,
-        zero_module=False,
-        inconclusive=False,
-        reason="",
-        nonzero_indices=indices,
-        degree_dims=tuple(degree_dims),
-    )
+    return ExtSummary(**base, nonzero_indices=indices, degree_dims=tuple(degree_dims))
 
 
 def codim_of(gens, nvars: int) -> int | None:
@@ -261,12 +268,10 @@ class CmVerdict:
     ext: ExtSummary
 
 
-def grade_and_cm(
-    gens, nvars: int, prime: int = 29, gen_cap: int = GEN_CAP
-) -> CmVerdict:
+def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
     """Cohen-Macaulay test: Ext vanishes away from a single index equal
     to the codimension."""
-    ext = taylor_ext_ranks(gens, nvars, prime=prime, gen_cap=gen_cap)
+    ext = taylor_ext_ranks(gens, nvars, prime=prime)
     if ext.zero_module:
         return CmVerdict(None, None, None, True, False, ext)
     if ext.inconclusive:
@@ -274,14 +279,6 @@ def grade_and_cm(
     cd = codim_of(gens, nvars)
     verdict = ext.nonzero_indices == (cd,)
     return CmVerdict(verdict, ext.grade, cd, False, False, ext)
-
-
-def is_cm(
-    gens, nvars: int, prime: int = 29, gen_cap: int = GEN_CAP
-) -> bool | None:
-    """Plain verdict; None for zero modules and inconclusive runs."""
-    v = grade_and_cm(gens, nvars, prime, gen_cap)
-    return v.is_cm
 
 
 def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
@@ -298,9 +295,13 @@ def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
     if r > GEN_CAP:
         raise ValueError("too many generators for the primal check")
     maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
-    lcms = _subset_lcms(gens, nvars)
+    full, _, reach = _subset_masks(gens, nvars)
     for top in itertools.product(*(range(m + 1) for m in maxexp)):
-        active = np.all(lcms <= np.array(top, dtype=np.int64), axis=1)
+        # subsets whose lcm is at most top: those exceeding it nowhere
+        above = 0
+        for masks, t in zip(reach, top):
+            above |= masks[t + 1]
+        active = full ^ above
         in_ideal = any(all(g[v] <= top[v] for v in range(nvars)) for g in gens)
         # the primal maps are the transposes of the dual ones, so the
         # same ranks give the homology
@@ -309,25 +310,23 @@ def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
     return True
 
 
-def _euler(lcms: np.ndarray, nvars: int, deg: int) -> int:
+def _euler(sizes: list[int], nvars: int, deg: int) -> int:
     """Inclusion-exclusion over generator subsets: the alternating sum,
-    by subset size, of the ring's dimension in degree deg - |lcm|."""
-    total = 0
-    for s, row in enumerate(lcms):
-        e = deg - int(row.sum())
-        if e >= 0:
-            term = math.comb(e + nvars - 1, nvars - 1)
-            total += -term if s.bit_count() % 2 else term
-    return total
+    by subset size, of the ring's dimension in degree deg - sizes[s],
+    where sizes[s] is the shift of subset s (|lcm| in the primal)."""
+    return sum(
+        (-1) ** s.bit_count() * _monomial_count(deg - size, nvars)
+        for s, size in enumerate(sizes)
+    )
 
 
 def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
     """Inclusion-exclusion Hilbert function against a direct monomial
     count, per degree up to degmax."""
     gens = _normalize_gens(gens, nvars)
-    lcms = _subset_lcms(gens, nvars)
+    sizes = [sum(row) for row in _subset_lcms(gens, nvars)]
     for deg in range(degmax + 1):
-        euler = _euler(lcms, nvars, deg)
+        euler = _euler(sizes, nvars, deg)
         direct = 0
         for mono in itertools.combinations_with_replacement(range(nvars), deg):
             exp = [0] * nvars
@@ -346,12 +345,12 @@ def ext_euler_check(summary: ExtSummary, dmax: int = 0) -> bool:
     if summary.zero_module or summary.inconclusive:
         raise ValueError("needs a conclusive nonzero summary")
     nvars = summary.nvars
-    lcms = _subset_lcms(summary.gens, nvars)
     gens = summary.gens
+    # the dual complex shifts by +|lcm| where the primal shifts by -|lcm|
+    shifts = [-sum(row) for row in _subset_lcms(gens, nvars)]
     dmin = -sum(max(g[v] for g in gens) for v in range(nvars)) if gens else 0
     for deg in range(dmin, dmax + 1):
-        # the dual complex shifts by +|lcm| where the primal shifts by -|lcm|
-        euler = _euler(-lcms, nvars, deg)
+        euler = _euler(shifts, nvars, deg)
         from_ext = 0
         for i, pairs in summary.degree_dims:
             d = dict(pairs).get(deg, 0)

@@ -5,10 +5,15 @@ capsys.  The heavyweight f=2 homology suites are exercised once.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from weightcalc import cli
 from weightcalc.cli import ConfigError, RunConfig, SUITES, main, run
 
 
@@ -229,6 +234,32 @@ class TestMainVerify:
         assert "2**40" in capsys.readouterr().err
         assert elapsed < 0.5
 
+    def test_uncaught_exception_is_a_failed_check(self, capsys, monkeypatch):
+        def broken(params, max_degree):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setitem(cli.SUITES, "characters", broken)
+        code = main(
+            "verify --f 1 --p 29 --jrho 0 --r 13 "
+            "--suite enumeration,characters,cycles --format json".split()
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.out + captured.err
+        doc = json.loads(captured.out)
+        assert [s["name"] for s in doc["suites"]] == ["enumeration", "characters", "cycles"]
+        assert doc["suites"][1]["checks"] == [
+            {
+                "id": "characters.uncaught.0",
+                "anchor": "the suite completes",
+                "status": "fail",
+                "details": "ZeroDivisionError: boom",
+            }
+        ]
+        for other in (doc["suites"][0], doc["suites"][2]):
+            assert other["checks"]
+            assert all(c["status"] == "pass" for c in other["checks"])
+
 
 class TestSubcommands:
     def test_enumerate_counts(self, capsys):
@@ -281,6 +312,21 @@ class TestSubcommands:
         assert doc["complete"] is True
         assert doc["verified"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tor --tags Y",
+            "hilbert --f 1 --p 29 --jrho 0 --r 13 --lam x",
+            "verify --f 1 --p 29 --jrho 0 --r 13 --suite tor",
+        ],
+        ids=["tor", "hilbert", "verify"],
+    )
+    def test_negative_max_degree_exits_2(self, capsys, argv):
+        assert main(argv.split() + ["--max-degree", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-degree" in captured.err
+
     def test_tor_bad_tag(self, capsys):
         assert main("tor --tags Q --p 29".split()) == 2
         assert "type tag" in capsys.readouterr().err
@@ -294,3 +340,16 @@ class TestSubcommands:
         argv = "ideal --f 2 --p 61 --jrho none --r 13,16 --lam x".split()
         assert main(argv) == 2
         assert "entries" in capsys.readouterr().err
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, weightcalc.cli; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

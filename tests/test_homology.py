@@ -22,12 +22,12 @@ from weightcalc.homology.taylor import (
     ext_euler_check,
     grade_and_cm,
     hilbert_euler_check,
-    is_cm,
     shellability_check,
     taylor_ext_ranks,
     taylor_primal_check,
 )
 from weightcalc.homology import resolution as reso
+from weightcalc.homology import taylor
 from weightcalc.monomial import Monomial, MonomialIdeal, ideal_ijd
 
 
@@ -243,7 +243,7 @@ class TestTaylorExt:
             s = taylor_ext_ranks(gens, nv)
             assert s.nonzero_indices == (nv,)
             assert s.grade == nv
-            assert is_cm(gens, nv) is True
+            assert grade_and_cm(gens, nv).is_cm is True
 
     def test_principal_ideal_degrees(self):
         s = taylor_ext_ranks([(2,)], 1)
@@ -256,18 +256,21 @@ class TestTaylorExt:
         s = taylor_ext_ranks([], 2)
         assert s.nonzero_indices == (0,)
         assert s.dims_for(0) == {0: 1}
-        assert is_cm([], 2) is True
+        assert grade_and_cm([], 2).is_cm is True
 
     def test_unit_ideal_flagged_separately(self):
         s = taylor_ext_ranks([(0, 0)], 2)
         assert s.zero_module
-        assert is_cm([(0, 0)], 2) is None
+        assert grade_and_cm([(0, 0)], 2).is_cm is None
 
     def test_generator_cap_is_inconclusive_never_pass(self):
-        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        s = taylor_ext_ranks(gens, 3, gen_cap=2)
+        # 17 pairwise incomparable generators on a 17 x 17 clamp grid,
+        # well under GRID_CAP, so the generator cap is what fires
+        gens = [(i, 16 - i) for i in range(17)]
+        s = taylor_ext_ranks(gens, 2)
         assert s.inconclusive and s.nonzero_indices == ()
-        v = grade_and_cm(gens, 3, gen_cap=2)
+        assert "17 generators" in s.reason
+        v = grade_and_cm(gens, 2)
         assert v.inconclusive and v.is_cm is None
 
     def test_grid_cap_is_inconclusive(self):
@@ -336,7 +339,7 @@ class TestTaylorExt:
     @given(st.data())
     def test_random_ideals_certify_consistently(self, data):
         nv = data.draw(st.integers(1, 3))
-        ngens = data.draw(st.integers(1, 3))
+        ngens = data.draw(st.integers(1, 6))
         gens = [
             tuple(data.draw(st.integers(0, 2)) for _ in range(nv))
             for _ in range(ngens)
@@ -352,6 +355,36 @@ class TestTaylorExt:
         assert s.grade <= codim_of(gens, nv)
         assert taylor_primal_check(gens, nv)
         assert ext_euler_check(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cone_certificate_is_sound(self, data):
+        nv = data.draw(st.integers(1, 3))
+        r = data.draw(st.integers(1, 5))
+        gens = [
+            tuple(data.draw(st.integers(0, 2)) for _ in range(nv))
+            for _ in range(r)
+        ]
+        # the active sets and masks are built here directly from subset
+        # lcms, not through the clamp masks of the scan
+        lcm = [
+            [
+                max((g[v] for i, g in enumerate(gens) if s >> i & 1), default=0)
+                for v in range(nv)
+            ]
+            for s in range(1 << r)
+        ]
+        without = [
+            sum(1 << s for s in range(1 << r) if not s >> b & 1) for b in range(r)
+        ]
+        for depths in itertools.product(range(3), repeat=nv):
+            active = sum(
+                1 << s
+                for s in range(1 << r)
+                if all(lcm[s][v] >= depths[v] for v in range(nv))
+            )
+            if taylor._is_acyclic_cone(active, without):
+                assert taylor._pattern_homology(active, r, 29) == {}, (gens, depths)
 
 
 class TestCodim:
