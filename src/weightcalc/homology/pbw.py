@@ -154,11 +154,6 @@ class PbwElement:
             and self.terms == other.terms
         )
 
-    def is_homogeneous(self) -> bool:
-        degs = {key_degree(k) for k in self.terms}
-        chars = {key_char(k) for k in self.terms}
-        return len(degs) <= 1 and len(chars) <= 1
-
     @property
     def degree(self) -> int | None:
         """Degree of a homogeneous element, None for 0."""

@@ -4,17 +4,21 @@ The algebra is a tensor product, one factor per index, of F_p-algebras
 on y, z, h with zy = yz - h and h central.  Modules are cyclic left
 quotients presented by homogeneous generators.  A resolution is built
 one (internal degree, per-index character) slice at a time, by degree,
-then character, then homological level: at each slice the kernel of
-the level's map is computed by exact linear algebra, and new generators
-of the next level are exactly the kernel vectors not already reached by
-multiples of its generators found in lower slices.  Those multiples,
-followed by the new generators, are the columns of the next level's map
-on the same slice, so each step hands its slice images on to the next
-and only the first map is assembled from the presentation generators.
-That choice of generators makes every transition map vanish after applying
-F tensor (-), so the ranks are Betti numbers and the generator shifts
-read off Tor directly.  The exactness recheck rebuilds every slice map
-from the finished resolution on its own and ranks each slice once.
+then character, then homological level.  At each slice and level one
+tracked elimination adds the multiples of the next level's generators
+found in lower slices to an echelon span, and reads off the
+dependencies among them.  New generators of the next level are the
+kernel vectors of the level's map that this span does not reach.  The
+multiples, followed by the new generators, are the columns of the next
+level's map on the same slice; the new generators are independent of
+the multiples and of each other, so that map's kernel is exactly the
+dependencies, and only the first map is assembled and eliminated on its
+own.  That choice of generators makes every transition map vanish after
+applying F tensor (-), so the ranks are Betti numbers and the generator
+shifts read off Tor directly.  The exactness recheck rebuilds every
+slice map from the finished resolution on its own and ranks each slice
+once.  The suites share resolutions through a bounded memo, so one
+verify run resolves each module once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from weightcalc.homology.linalg import Row, RowSpan, nullspace_mod, rank_mod
+from weightcalc.homology.linalg import (
+    Row,
+    RowSpan,
+    nullspace_mod,
+    rank_mod,
+    span_and_kernel,
+)
 from weightcalc.homology.pbw import PbwElement, multiply_keys
 
 CharVec = tuple[int, ...]
@@ -200,8 +210,10 @@ def _resolve_slices(
     by level.  Step L keeps the kernel vectors of the level-L map that
     the multiples of earlier level-(L+1) generators do not reach.  Those
     multiples, followed by the kept remainders, are the columns of the
-    level-(L+1) map on the same slice, so step L+1 takes them as its
-    matrix.  Vectors have one component per generator found so far.
+    level-(L+1) map on the same slice; the remainders are independent of
+    the multiples and of each other, so that map's kernel is the
+    dependencies among the multiples, found by the same elimination.
+    Vectors have one component per generator found so far.
     """
     base: tuple[Shift, ...] = ((0, (0,) * f),)
     levels: list[list[Generator]] = [[(vector_shift((g,), base), (g,)) for g in gens]]
@@ -212,16 +224,17 @@ def _resolve_slices(
             basis = _module_basis(base, deg, w, f)
             index = {bm: i for i, bm in enumerate(basis)}
             cols = list(_multiples(levels[0], deg, w, index, f, p))
+            ker = nullspace_mod(_rows(cols, len(basis)), len(cols), p)
             for lower, upper in zip(levels, levels[1:]):
-                ntgt, basis = len(basis), _module_basis((sh for sh, _ in lower), deg, w, f)
+                basis = _module_basis((sh for sh, _ in lower), deg, w, f)
                 if not basis:
                     # a multiple of a higher generator would be a nonzero
                     # vector here, so the levels above are empty too
                     break
-                ker = nullspace_mod(_rows(cols, ntgt), len(basis), p)
                 index = {bm: i for i, bm in enumerate(basis)}
-                cols = list(_multiples(upper, deg, w, index, f, p))
-                span = RowSpan(p, cols)
+                span, next_ker = span_and_kernel(
+                    list(_multiples(upper, deg, w, index, f, p)), p
+                )
                 old_rank = span.rank
                 fresh = [rem for rem in map(span.add, ker) if rem is not None]
                 # the old span sits inside the kernel, so the count must close up
@@ -230,7 +243,7 @@ def _resolve_slices(
                 for rem in fresh:
                     vec = _row_to_vector(rem, basis, len(lower), f, p)
                     upper.append(((deg, w), vec))
-                cols += fresh
+                ker = next_ker
     return levels
 
 
@@ -280,15 +293,6 @@ class BettiTable:
             if a != b:
                 lines.append(f"i={i}: computed {a} expected {b}")
         return "; ".join(lines)
-
-    def merge(self, other: BettiTable) -> BettiTable:
-        if self.f != other.f:
-            raise ValueError("mixed index counts")
-        top = max(len(self.rows), len(other.rows))
-        rows = tuple(
-            tuple(sorted(self.row(i) + other.row(i))) for i in range(top)
-        )
-        return BettiTable(self.f, rows)
 
 
 def kunneth_table(tables: list[BettiTable]) -> BettiTable:
@@ -351,7 +355,8 @@ def minimal_resolution(
 ) -> Resolution:
     """Minimal graded free resolution of the cyclic quotient by the left
     ideal the generators span, out to homological index imax and internal
-    degree dmax."""
+    degree dmax; only generators of degree at most dmax are kept, the
+    presentation's included."""
     gens = list(gens)
     if f is None:
         if not gens:
@@ -361,9 +366,11 @@ def minimal_resolution(
         if g.terms and g.degree == 0:
             raise ValueError("unit ideal: zero module has no minimal resolution")
     gens = minimalize_elements(gens, f, p)
+    next_empty: bool | None = None if gens else True
+    # a generator above dmax reaches no slice in the window
+    gens = [g for g in gens if g.degree <= dmax]
     shifts: list[tuple[Shift, ...]] = [((0, (0,) * f),)]
     maps: list[tuple[tuple[PbwElement, ...], ...]] = []
-    next_empty: bool | None = None if gens else True
     if gens and imax >= 1:
         # the completion probe is one more level
         top = imax + 1 if probe_completion else imax
@@ -389,6 +396,24 @@ def minimal_resolution(
     return Resolution(
         f, p, dmax, tuple(shifts), tuple(maps), next_empty
     )
+
+
+# Distinct modules one verify run resolves: at f = 2 the six factor
+# tables and the nine two-index patterns, which the dual check and the
+# tor suite share.  Bounded, so that a process running many configs
+# holds no more than one run's resolutions.
+_MEMO_SIZE = 15
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def module_resolution(
+    tags: tuple[str, ...], with_in: bool, n: int, p: int, imax: int, dmax: int
+) -> Resolution:
+    """Probed minimal resolution of the quotient for one tag pattern,
+    computed once per process for each input.  The result is shared
+    between callers, which must not mutate it."""
+    gens = module_generators(tags, with_in, n, p)
+    return minimal_resolution(gens, imax, dmax, p, f=len(tags), probe_completion=True)
 
 
 def verify_resolution(res: Resolution) -> bool:
@@ -541,8 +566,7 @@ def resolution_tables(
     imax = len(expected.rows) - 1
     if dmax is None:
         dmax = max(e for row in expected.rows for e, _ in row) + 2
-    gens = module_generators((t,), with_in, n, p)
-    res = minimal_resolution(gens, imax, dmax, p, f=1, probe_completion=True)
+    res = module_resolution((t,), with_in, n, p, imax, dmax)
     if verify and not verify_resolution(res):
         raise AssertionError("resolution failed its exactness recheck")
     computed = res.betti()
@@ -602,9 +626,7 @@ def tor_grlambda(
     )
     tables = []
     for pt in patterns:
-        gens = module_generators(pt, with_in, n, p)
-        res = minimal_resolution(gens, imax, dmax, p, f=f)
-        table = res.betti()
+        table = module_resolution(pt, with_in, n, p, imax, dmax).betti()
         if not with_in:
             for i, row in enumerate(table.rows):
                 bad = [e for e, _ in row if not i <= e <= 2 * i]
@@ -641,8 +663,7 @@ def dual_degree_bound_check(tags, p: int = 29) -> DualBoundResult:
     if f > 2:
         raise ValueError("checked only for one or two factors")
     dmax = 4 * f + 2
-    gens = module_generators(tags, False, 3, p)
-    res = minimal_resolution(gens, 2 * f, dmax, p, f=f, probe_completion=True)
+    res = module_resolution(tags, False, 3, p, 2 * f, dmax)
     top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
     d = sum(1 for t in tags if t == "YZ")
     expected = 3 * (f - d) + 4 * d

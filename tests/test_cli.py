@@ -121,6 +121,32 @@ class TestRun:
         assert multifree
         assert any("forced" in c.details for c in multifree)
 
+    def test_each_module_resolved_once_per_run(self, monkeypatch):
+        from weightcalc.homology import resolution as reso
+
+        calls = []
+        inner = reso.minimal_resolution
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(reso, "minimal_resolution", counted)
+        f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
+        reso.module_resolution.cache_clear()
+        run(_config(**f2, suites=("resolutions", "tor")))
+        # six factor tables and nine two-index patterns, which the dual
+        # check and the tor suite share
+        assert len(calls) == 15
+
+        def tor_checks(suites):
+            reso.module_resolution.cache_clear()
+            doc = run(_config(**f2, suites=suites)).as_dict(with_timings=False)
+            return [s["checks"] for s in doc["suites"] if s["name"] == "tor"]
+
+        alone = tor_checks(("tor",))
+        assert alone and alone == tor_checks(tuple(SUITES))
+
     def test_f2_cycles_and_lattice(self):
         report = run(
             _config(
@@ -310,6 +336,20 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["dims"] == [1, 2, 1]
         assert doc["complete"] is True
+        assert doc["verified"] is True
+
+    @pytest.mark.parametrize(
+        "argv, dmax, dims",
+        [
+            ("tor --tags Y,Z --full --max-degree 2", 2, [1, 4, 1]),
+            ("tor --tags Y --max-degree 0", 0, [1]),
+        ],
+    )
+    def test_tor_prints_only_generators_in_window(self, capsys, argv, dmax, dims):
+        assert main(argv.split() + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(e <= dmax for row in doc["rows"] for e, _ in row)
+        assert doc["dims"] == dims
         assert doc["verified"] is True
 
     @pytest.mark.parametrize(

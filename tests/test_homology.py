@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcalc.homology.linalg import RowSpan, nullspace_mod, rank_mod
+from weightcalc.homology.linalg import RowSpan, nullspace_mod, rank_mod, span_and_kernel
 from weightcalc.homology.pbw import (
     PbwElement,
     key_char,
@@ -75,12 +75,38 @@ def _matrices(draw):
     return draw(st.permutations(rows)), cols, p
 
 
+@st.composite
+def _vector_lists(draw):
+    """Dense vectors of one length, among them zero vectors, repeats and
+    combinations of earlier ones."""
+    p = draw(st.sampled_from([5, 29, LARGE_P]))
+    dim = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    vecs: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            vecs.append([0] * dim)
+        elif kind == "repeat" and vecs:
+            vecs.append(list(draw(st.sampled_from(vecs))))
+        elif kind == "combination" and vecs:
+            coeffs = draw(st.lists(entry, min_size=len(vecs), max_size=len(vecs)))
+            vecs.append([sum(a * v[c] for a, v in zip(coeffs, vecs)) % p for c in range(dim)])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    return vecs, dim, p
+
+
 class TestLinalg:
     def test_rref_rank_one(self):
         span = RowSpan(5, [[2, 4], [1, 2]])
         assert span.rows == {0: {0: 1, 1: 2}}
+        first = span.rows[0]
         assert span.add({1: 3}) == {1: 1}
-        assert span.rows == {0: {0: 1}, 1: {1: 1}}
+        # echelon form: the stored row keeps its entry in the new pivot column
+        assert span.rows == {0: {0: 1, 1: 2}, 1: {1: 1}}
+        assert span.rows[0] is first
+        assert span.reduce([3, 4]) == {}
         assert span.add([7, 0]) is None
 
     def test_rank_degenerate(self):
@@ -94,18 +120,52 @@ class TestLinalg:
         assert nullspace_mod([{}], 0, 5) == []
 
     @settings(max_examples=150, deadline=None)
-    @given(_matrices())
-    def test_rref_matches_dense_oracle(self, case):
+    @given(_matrices(), st.data())
+    def test_rref_matches_dense_oracle(self, case, data):
         rows, cols, p = case
         oracle = _dense_rref(rows, p)
-        expected = {
-            next(c for c, x in enumerate(row) if x): {c: x for c, x in enumerate(row) if x}
-            for row in oracle
-        }
-        assert RowSpan(p, rows).rows == expected
+        pivots = [next(c for c, x in enumerate(row) if x) for row in oracle]
         sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-        assert RowSpan(p, sparse).rows == expected
+        for given_rows in (rows, sparse):
+            span = RowSpan(p)
+            stored: dict[int, tuple[dict, dict]] = {}
+            for row in given_rows:
+                span.add(row)
+                # a stored row is never replaced or rewritten
+                assert all(
+                    span.rows[c] is r and r == copy for c, (r, copy) in stored.items()
+                )
+                stored = {c: (r, dict(r)) for c, r in span.rows.items()}
+            assert sorted(span.rows) == pivots
+            assert all(min(r) == c and r[c] == 1 for c, r in span.rows.items())
         assert rank_mod(rows, p) == len(oracle)
+        # the remainder is the oracle's canonical one: zero on every pivot
+        v = data.draw(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols))
+        rem = list(v)
+        for pc, row in zip(pivots, oracle):
+            g = rem[pc]
+            rem = [(x - g * y) % p for x, y in zip(rem, row)]
+        assert span.reduce(v) == {c: x for c, x in enumerate(rem) if x}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_vector_lists())
+    def test_span_and_kernel_matches_dense_null_basis(self, case):
+        vecs, dim, p = case
+        span, deps = span_and_kernel([{c: x for c, x in enumerate(v) if x} for v in vecs], p)
+        # null basis of the matrix whose columns are the vectors, read off
+        # its RREF: 1 at each free column, minus the RREF entries above it
+        oracle = _dense_rref([[v[r] for v in vecs] for r in range(dim)], p)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in oracle]
+        expected = []
+        for j in range(len(vecs)):
+            if j not in pivots:
+                dep = {j: 1}
+                for pc, row in zip(pivots, oracle):
+                    if row[j]:
+                        dep[pc] = -row[j] % p
+                expected.append(dep)
+        assert deps == expected
+        assert span.rank == len(pivots)
 
     @settings(max_examples=100, deadline=None)
     @given(_matrices())
