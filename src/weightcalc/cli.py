@@ -156,7 +156,7 @@ def run(config: RunConfig) -> Report:
 # ------------------------------------------------------------- commands
 
 
-def _parse_jrho(text: str, f: int) -> frozenset[int]:
+def _parse_jrho(text: str) -> frozenset[int]:
     text = text.strip().lower()
     if text in ("", "none"):
         return frozenset()
@@ -175,7 +175,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _base_params(args) -> Params:
-    j_rho = _parse_jrho(args.jrho, args.f)
+    j_rho = _parse_jrho(args.jrho)
     try:
         return Params(args.f, args.p, j_rho, _parse_ints(args.r))
     except ValueError as exc:
@@ -275,8 +275,8 @@ def _cmd_tor(args) -> int:
     dmax = args.max_degree
     if dmax is None:
         dmax = 3 * imax + 1 if args.full else 2 * imax + 2
-    gens = module_generators(tags, args.full, 3, args.p)
-    res = minimal_resolution(gens, imax, dmax, args.p, f=f, probe_completion=True)
+    gens = module_generators(tags, args.full, args.p)
+    res = minimal_resolution(gens, imax, dmax, args.p, f=f)
     table = res.betti()
     doc = {
         "tags": list(tags),
@@ -301,7 +301,7 @@ def _cmd_verify(args) -> int:
     config = RunConfig(
         f=args.f,
         p=args.p,
-        j_rho=_parse_jrho(args.jrho, args.f),
+        j_rho=_parse_jrho(args.jrho),
         r=_parse_ints(args.r),
         suites=suites,
         max_degree=args.max_degree,

@@ -178,13 +178,12 @@ def _map_matrix(
     w: CharVec,
     f: int,
     p: int,
-) -> tuple[list[Row], int]:
-    """Sparse rows of the slice map, one per target basis element, and
-    its column count, one column per source basis element."""
+) -> list[Row]:
+    """Sparse columns of the slice map, one per source basis element, in
+    the coordinates of the target basis."""
     tgt_basis = _module_basis(tgt_shifts, deg, w, f)
     index = {bm: i for i, bm in enumerate(tgt_basis)}
-    cols = list(_multiples(zip(src_shifts, vecs), deg, w, index, f, p))
-    return _rows(cols, len(tgt_basis)), len(cols)
+    return list(_multiples(zip(src_shifts, vecs), deg, w, index, f, p))
 
 
 def _char_candidates(
@@ -346,17 +345,13 @@ class Resolution:
 
 
 def minimal_resolution(
-    gens,
-    imax: int,
-    dmax: int,
-    p: int,
-    f: int | None = None,
-    probe_completion: bool = False,
+    gens, imax: int, dmax: int, p: int, f: int | None = None
 ) -> Resolution:
     """Minimal graded free resolution of the cyclic quotient by the left
     ideal the generators span, out to homological index imax and internal
     degree dmax; only generators of degree at most dmax are kept, the
-    presentation's included."""
+    presentation's included.  One more level is resolved to tell whether
+    the resolution ends at imax within the window."""
     gens = list(gens)
     if f is None:
         if not gens:
@@ -372,9 +367,7 @@ def minimal_resolution(
     shifts: list[tuple[Shift, ...]] = [((0, (0,) * f),)]
     maps: list[tuple[tuple[PbwElement, ...], ...]] = []
     if gens and imax >= 1:
-        # the completion probe is one more level
-        top = imax + 1 if probe_completion else imax
-        levels = _resolve_slices(gens, top, dmax, f, p)
+        levels = _resolve_slices(gens, imax + 1, dmax, f, p)
         for level in levels[:imax]:
             if not level:
                 break
@@ -388,11 +381,8 @@ def minimal_resolution(
                     for _, vec in level
                 )
             )
-        if len(shifts) <= imax:
-            # a kernel with no new generator in-window ends the resolution
-            next_empty = True
-        elif probe_completion:
-            next_empty = not levels[imax]
+        # a kernel with no new generator in-window ends the resolution
+        next_empty = len(shifts) <= imax or not levels[imax]
     return Resolution(
         f, p, dmax, tuple(shifts), tuple(maps), next_empty
     )
@@ -407,13 +397,13 @@ _MEMO_SIZE = 15
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def module_resolution(
-    tags: tuple[str, ...], with_in: bool, n: int, p: int, imax: int, dmax: int
+    tags: tuple[str, ...], with_in: bool, p: int, imax: int, dmax: int
 ) -> Resolution:
-    """Probed minimal resolution of the quotient for one tag pattern,
-    computed once per process for each input.  The result is shared
-    between callers, which must not mutate it."""
-    gens = module_generators(tags, with_in, n, p)
-    return minimal_resolution(gens, imax, dmax, p, f=len(tags), probe_completion=True)
+    """Minimal resolution of the quotient for one tag pattern, computed
+    once per process for each input.  The result is shared between
+    callers, which must not mutate it."""
+    gens = module_generators(tags, with_in, p)
+    return minimal_resolution(gens, imax, dmax, p, f=len(tags))
 
 
 def verify_resolution(res: Resolution) -> bool:
@@ -445,10 +435,11 @@ def verify_resolution(res: Resolution) -> bool:
 
     def slice_rank(i: int, deg: int, w: CharVec) -> tuple[int, int]:
         if (i, deg, w) not in ranks:
-            rows, ncols = _map_matrix(
+            cols = _map_matrix(
                 res.shifts[i + 1], res.maps[i], res.shifts[i], deg, w, f, p
             )
-            ranks[(i, deg, w)] = rank_mod(rows, p), ncols
+            # a matrix and its transpose have the same rank
+            ranks[(i, deg, w)] = rank_mod(cols, p), len(cols)
         return ranks[(i, deg, w)]
 
     for i in range(1, len(res.maps)):
@@ -460,11 +451,15 @@ def verify_resolution(res: Resolution) -> bool:
     return True
 
 
+# Exponent of the power quotients: the cube-deformed modules add y**CUBE
+# and z**CUBE at every index.
+CUBE = 3
+
+
 # Per-factor generator patterns: Y and Z mark the surviving variable of
-# the degree-one pair; YZ keeps the product.
-def module_generators(
-    tags, with_in: bool, n: int, p: int
-) -> list[PbwElement]:
+# the degree-one pair; YZ keeps the product.  The generators need not be
+# minimal: `minimal_resolution` minimalizes them.
+def module_generators(tags, with_in: bool, p: int) -> list[PbwElement]:
     tags = tuple(tags)
     f = len(tags)
     gens: list[PbwElement] = []
@@ -479,12 +474,10 @@ def module_generators(
             raise ValueError(f"unknown tag {t!r}")
         gens.append(PbwElement.gen_h(j, f, p))
     if with_in:
-        if n < 1:
-            raise ValueError("power exponent must be positive")
         for j in range(f):
-            gens.append(PbwElement.gen_y(j, f, p, n))
-            gens.append(PbwElement.gen_z(j, f, p, n))
-    return minimalize_elements(gens, f, p)
+            gens.append(PbwElement.gen_y(j, f, p, CUBE))
+            gens.append(PbwElement.gen_z(j, f, p, CUBE))
+    return gens
 
 
 _Y, _Z, _YZ = "Y", "Z", "YZ"
@@ -528,19 +521,14 @@ EXPECTED_FACTOR_TABLES: dict[tuple[str, bool], tuple[tuple[Shift, ...], ...]] = 
 }
 
 
-def expected_factor_table(t: str, with_in: bool, n: int = 3) -> BettiTable:
-    """Reference single-factor Betti table; the quotient by cubes is only
-    tabulated for n = 3."""
-    if with_in and n != 3:
-        raise ValueError("reference tables cover the cube quotient only")
+def expected_factor_table(t: str, with_in: bool) -> BettiTable:
+    """Reference single-factor Betti table."""
     return BettiTable(1, EXPECTED_FACTOR_TABLES[(t, with_in)])
 
 
-def expected_table(tags, with_in: bool, n: int = 3) -> BettiTable:
+def expected_table(tags, with_in: bool) -> BettiTable:
     """Reference table for a product module, one factor per tag."""
-    return kunneth_table(
-        [expected_factor_table(t, with_in, n) for t in tags]
-    )
+    return kunneth_table([expected_factor_table(t, with_in) for t in tags])
 
 
 @dataclass(frozen=True)
@@ -552,27 +540,18 @@ class TableCheck:
     resolution: Resolution
 
 
-def resolution_tables(
-    t: str,
-    with_in: bool,
-    n: int = 3,
-    p: int = 29,
-    dmax: int | None = None,
-    verify: bool = True,
-) -> TableCheck:
-    """Single-factor resolution, checked entry by entry against the
-    reference table; a mismatch is reported as a structured diff."""
-    expected = expected_factor_table(t, with_in, n)
+def resolution_tables(tags, with_in: bool, p: int = 29) -> TableCheck:
+    """Resolution of the quotient for one tag pattern, checked entry by
+    entry against the reference table, with its window read off that
+    table; a mismatch is reported as a structured diff.  The exactness
+    recheck is the caller's: `verify_resolution(check.resolution)`."""
+    tags = tuple(tags)
+    expected = expected_table(tags, with_in)
     imax = len(expected.rows) - 1
-    if dmax is None:
-        dmax = max(e for row in expected.rows for e, _ in row) + 2
-    res = module_resolution((t,), with_in, n, p, imax, dmax)
-    if verify and not verify_resolution(res):
-        raise AssertionError("resolution failed its exactness recheck")
+    dmax = max(e for row in expected.rows for e, _ in row) + 2
+    res = module_resolution(tags, with_in, p, imax, dmax)
     computed = res.betti()
-    match = (
-        computed.rows == expected.rows and res.next_kernel_empty is True
-    )
+    match = computed.rows == expected.rows and res.next_kernel_empty is True
     return TableCheck(computed, expected, match, computed.diff(expected), res)
 
 
@@ -589,16 +568,10 @@ class TorResult:
         )
 
 
-def tor_grlambda(
-    patterns,
-    imax: int,
-    dmax: int | None = None,
-    p: int = 29,
-    with_in: bool = False,
-    n: int = 3,
-) -> TorResult:
-    """Tor of a direct sum of cyclic quotients, one summand per tag
-    pattern, as shift/character tables per homological index.
+def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
+    """Tor of a direct sum of undeformed cyclic quotients, one summand per
+    tag pattern, as shift/character tables per homological index up to
+    twice the index count.
 
     Betti data is additive across summands, so each is resolved on its
     own; per-summand tables come back in input order for callers that
@@ -610,14 +583,12 @@ def tor_grlambda(
     f = len(patterns[0])
     if any(len(pt) != f for pt in patterns):
         raise ValueError("mixed index counts across summands")
-    if imax > 2 * f:
-        raise ValueError("index above twice the factor count")
+    imax = 2 * f
     if dmax is None:
         dmax = 4 * f + 2
-    # in-window completeness leans on a generator support bound: [i, 2i]
-    # for the undeformed quotients (re-checked on every computed row),
-    # [i, 3i] observed for the power quotients
-    needed = 2 * imax if not with_in else 3 * imax
+    # in-window completeness leans on the generator support bound [i, 2i],
+    # re-checked on every computed row
+    needed = 2 * imax
     inconclusive = dmax < needed
     reasons = (
         [f"window {dmax} cannot certify generators up to degree {needed}"]
@@ -626,15 +597,12 @@ def tor_grlambda(
     )
     tables = []
     for pt in patterns:
-        table = module_resolution(pt, with_in, n, p, imax, dmax).betti()
-        if not with_in:
-            for i, row in enumerate(table.rows):
-                bad = [e for e, _ in row if not i <= e <= 2 * i]
-                if i and bad:
-                    inconclusive = True
-                    reasons.append(
-                        f"support bound broken at i={i}, shifts {bad}"
-                    )
+        table = module_resolution(pt, False, p, imax, dmax).betti()
+        for i, row in enumerate(table.rows):
+            bad = [e for e, _ in row if not i <= e <= 2 * i]
+            if i and bad:
+                inconclusive = True
+                reasons.append(f"support bound broken at i={i}, shifts {bad}")
         tables.append(table)
     return TorResult(tuple(tables), inconclusive, "; ".join(reasons))
 
@@ -663,7 +631,7 @@ def dual_degree_bound_check(tags, p: int = 29) -> DualBoundResult:
     if f > 2:
         raise ValueError("checked only for one or two factors")
     dmax = 4 * f + 2
-    res = module_resolution(tags, False, 3, p, 2 * f, dmax)
+    res = module_resolution(tags, False, p, 2 * f, dmax)
     top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
     d = sum(1 for t in tags if t == "YZ")
     expected = 3 * (f - d) + 4 * d

@@ -35,6 +35,7 @@ from weightcalc.homology.resolution import (
     expected_table,
     resolution_tables,
     tor_grlambda,
+    verify_resolution,
     wedge_table,
 )
 from weightcalc.homology.taylor import grade_and_cm, shellability_check
@@ -233,6 +234,42 @@ def check_shellability(rec: Recorder, f: int, d: int) -> None:
         ok,
         f"d = {d}: {2**f} partitions",
     )
+
+
+def check_factor_tables(
+    rec: Recorder, p: int
+) -> dict[tuple[tuple[str, ...], bool], BettiTable]:
+    """Every single-factor resolution, with and without cubes, against its
+    reference table and through the exactness recheck; returns the
+    computed tables by (tags, cube-deformed)."""
+    tables = {}
+    for t in ("Y", "Z", "YZ"):
+        for full in (False, True):
+            chk = resolution_tables((t,), full, p)
+            tables[((t,), full)] = chk.computed
+            problems = [] if chk.match else [f"diff: {chk.diff}"]
+            if not verify_resolution(chk.resolution):
+                problems.append("the resolution failed its exactness recheck")
+            rec.add(
+                "factor-table",
+                "the computed minimal resolution matches the frozen factor table",
+                not problems,
+                f"tag = {t}, cube-deformed = {full}. {'; '.join(problems)}".strip(),
+            )
+    return tables
+
+
+def check_dual_shifts(rec: Recorder, f: int, p: int) -> None:
+    """The top term of every undeformed f-index quotient's resolution
+    against the predicted shift."""
+    for tags in itertools.product(("Y", "Z", "YZ"), repeat=f):
+        d = dual_degree_bound_check(tags, p=p)
+        rec.add(
+            "dual-top-shift",
+            "the dual of the undeformed quotient concentrates in the predicted shift window",
+            None if d.inconclusive else d.ok,
+            f"tags = {tags}: top shifts {d.top_shifts}, expected {d.expected_shift}",
+        )
 
 
 def check_tor_family(
@@ -476,9 +513,14 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
     f = params.f
     nv = 2 * f
     check_pure_patterns(rec, f, params.p)
-    for d in range(1, f + 1):
-        ideal = ideal_ijd(frozenset(), frozenset(range(f)), d, f)
-        v = grade_and_cm(ideal.lift_exponents(), nv, prime=params.p)
+
+    def certify(J1: frozenset[int], d: int):
+        ideal = ideal_ijd(J1, frozenset(range(f)) - J1, d, f)
+        return grade_and_cm(ideal.lift_exponents(), nv, prime=params.p)
+
+    # the J1 = [] split is the product ideal itself, certified once per d
+    product = {d: certify(frozenset(), d) for d in range(1, f + 1)}
+    for d, v in product.items():
         rec.add(
             "product-ideal",
             "the degree-d product quotient is Cohen-Macaulay of grade f",
@@ -486,10 +528,8 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
             f"d = {d}: grade {v.grade}",
         )
     for J1 in subsets(range(f)):
-        J2 = frozenset(range(f)) - J1
         for d in range(1, f + 1):
-            ideal = ideal_ijd(J1, J2, d, f)
-            v = grade_and_cm(ideal.lift_exponents(), nv, prime=params.p)
+            v = certify(J1, d) if J1 else product[d]
             rec.add(
                 "split-product",
                 "two-sided product quotients stay Cohen-Macaulay of grade f",
@@ -510,26 +550,9 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
 
 def _suite_resolutions(params: Params, max_degree: int | None) -> list[Check]:
     rec = Recorder("homology")
-    for t in ("Y", "Z", "YZ"):
-        for full in (False, True):
-            chk = resolution_tables(t, full, p=params.p)
-            details = "" if chk.match else f"diff: {chk.diff}"
-            rec.add(
-                "factor-table",
-                "the computed minimal resolution matches the frozen factor table",
-                chk.match,
-                f"tag = {t}, cube-deformed = {full}. {details}".strip(),
-            )
+    check_factor_tables(rec, params.p)
     if params.f <= 2:
-        for tags in itertools.product(("Y", "Z", "YZ"), repeat=params.f):
-            d = dual_degree_bound_check(tags, p=params.p)
-            ok = None if d.inconclusive else d.ok
-            rec.add(
-                "dual-top-shift",
-                "the dual of the undeformed quotient concentrates in the predicted shift window",
-                ok,
-                f"tags = {tags}: top shifts {d.top_shifts}, expected {d.expected_shift}",
-            )
+        check_dual_shifts(rec, params.f, params.p)
     return rec.checks
 
 
@@ -546,7 +569,7 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
         return rec.checks
     family = enumerate_p(params)
     patterns = [tuple(t.value for t in t_type(lam, params)) for lam in family]
-    res = tor_grlambda(patterns, imax=2 * f, p=params.p, dmax=max_degree)
+    res = tor_grlambda(patterns, dmax=max_degree, p=params.p)
     if res.inconclusive:
         rec.add(
             "tor-dims",
@@ -559,7 +582,7 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
         for tags in sorted(set(patterns)):
             table = res.tables[patterns.index(tags)]
             if f == 1:
-                big, note = resolution_tables(tags[0], True, p=params.p).computed, ""
+                big, note = resolution_tables(tags, True, params.p).computed, ""
             else:
                 big = expected_table(tags, True)
                 note = " (deformed side composed from verified factors)"

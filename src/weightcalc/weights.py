@@ -81,8 +81,8 @@ class Params:
 
     j_rho is the set of embedding indices at which the extra symbols
     x+2 and p-3-x (and, for the smaller diagonal family, x+1 and p-3-x)
-    are permitted.  r collects one residue per index and is only used
-    when symbols are evaluated or characters are formed.
+    are permitted.  r collects one residue in 0..p-1 per index and is
+    only used when symbols are evaluated or characters are formed.
     """
 
     f: int
@@ -100,6 +100,8 @@ class Params:
             raise ValueError(f"j_rho {sorted(self.j_rho)} not a subset of 0..{self.f - 1}")
         if len(self.r) != self.f:
             raise ValueError(f"r must have length f={self.f}, got {len(self.r)}")
+        if any(not 0 <= v < self.p for v in self.r):
+            raise ValueError(f"each residue must lie in 0..p-1 = 0..{self.p - 1}, got r={self.r}")
 
     @property
     def q_minus_one(self) -> int:

@@ -147,6 +147,18 @@ class TestRun:
         alone = tor_checks(("tor",))
         assert alone and alone == tor_checks(tuple(SUITES))
 
+    def test_failed_recheck_is_a_failed_check(self, monkeypatch):
+        from weightcalc import suites
+
+        monkeypatch.setattr(suites, "verify_resolution", lambda res: False)
+        (suite,) = run(_config(suites=("resolutions",))).suites
+        tags = [c.id.split(".")[1] for c in suite.checks]
+        assert tags == ["factor-table"] * 6 + ["dual-top-shift"] * 3
+        for check in suite.checks[:6]:
+            assert check.status == "fail"
+            assert "exactness recheck" in check.details
+        assert all(c.status == "pass" for c in suite.checks[6:])
+
     def test_f2_cycles_and_lattice(self):
         report = run(
             _config(
@@ -375,6 +387,21 @@ class TestSubcommands:
     def test_tor_refuses_bad_prime(self, capsys, p):
         assert main(["tor", "--tags", "Y", "--p", p]) == 2
         assert "prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "cycle --f 1 --p 29 --jrho 0 --r 40 --lam x",
+            "enumerate --f 1 --p 29 --jrho 0 --r -4",
+            "verify --f 2 --p 61 --jrho none --r 13,61 --suite enumeration",
+        ],
+        ids=["cycle", "enumerate", "verify"],
+    )
+    def test_residue_outside_prime_exits_2(self, capsys, argv):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0..p-1" in captured.err
 
     def test_lam_length_mismatch(self, capsys):
         argv = "ideal --f 2 --p 61 --jrho none --r 13,16 --lam x".split()

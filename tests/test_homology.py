@@ -525,14 +525,14 @@ class TestSliceBases:
 
 class TestModuleGenerators:
     def test_cube_power_absorbed_on_matching_branch(self):
-        gens = reso.module_generators(("Y",), True, 3, 29)
-        shifts = [(g.degree, g.char) for g in gens]
-        assert shifts == [(1, (1,)), (2, (0,)), (3, (-3,))]
+        gens = reso.module_generators(("Y",), True, 29)
+        res = reso.minimal_resolution(gens, 1, 3, 29)
+        assert list(res.shifts[1]) == [(1, (1,)), (2, (0,)), (3, (-3,))]
 
     def test_product_tag_keeps_both_cubes(self):
-        gens = reso.module_generators(("YZ",), True, 3, 29)
-        shifts = sorted((g.degree, g.char) for g in gens)
-        assert shifts == [(2, (0,)), (2, (0,)), (3, (-3,)), (3, (3,))]
+        gens = reso.module_generators(("YZ",), True, 29)
+        res = reso.minimal_resolution(gens, 1, 3, 29)
+        assert sorted(res.shifts[1]) == [(2, (0,)), (2, (0,)), (3, (-3,)), (3, (3,))]
 
     def test_minimalize_drops_multiples(self):
         p = 29
@@ -553,45 +553,41 @@ class TestFactorTables:
     def test_all_factor_tables_match(self):
         for t in ALL_TAGS:
             for full in (False, True):
-                chk = reso.resolution_tables(t, full)
+                chk = reso.resolution_tables((t,), full)
                 assert chk.match, (t, full, chk.diff)
 
     def test_surviving_z_quotient_dims(self):
-        res = reso.tor_grlambda([("Z",)], imax=2)
+        res = reso.tor_grlambda([("Z",)])
         assert res.tables[0].dims() == (1, 2, 1)
         assert not res.inconclusive
 
-    def test_index_bound_enforced(self):
-        with pytest.raises(ValueError):
-            reso.tor_grlambda([("Z",)], imax=3)
-
     def test_small_window_is_inconclusive(self):
-        res = reso.tor_grlambda([("Z",)], imax=2, dmax=2)
+        res = reso.tor_grlambda([("Z",)], dmax=2)
         assert res.inconclusive
 
     def test_undeformed_tables_are_exterior_powers(self):
         for t in ALL_TAGS:
-            table = reso.resolution_tables(t, False).computed
+            table = reso.resolution_tables((t,), False).computed
             wedge = reso.wedge_table(table.rows[1], 2, 1)
             assert table.rows == wedge.rows
 
     def test_cube_quotient_breaks_the_exterior_pattern(self):
         # an extra second syzygy appears, so the wedge of row 1 overshoots
-        table = reso.resolution_tables("YZ", True).computed
+        table = reso.resolution_tables(("YZ",), True).computed
         wedge = reso.wedge_table(table.rows[1], 3, 1)
         assert table.rows[2] != wedge.rows[2]
 
     def test_undeformed_tor_embeds_in_cube_quotient_tor(self):
         for t in ALL_TAGS:
-            small = reso.resolution_tables(t, False).computed
-            big = reso.resolution_tables(t, True).computed
+            small = reso.resolution_tables((t,), False).computed
+            big = reso.resolution_tables((t,), True).computed
             for i in range(3):
                 a, b = Counter(small.row(i)), Counter(big.row(i))
                 assert all(a[k] <= b[k] for k in a), (t, i)
 
     def test_support_window(self):
         for t in ALL_TAGS:
-            table = reso.resolution_tables(t, False).computed
+            table = reso.resolution_tables((t,), False).computed
             for i, row in enumerate(table.rows):
                 assert all(i <= e <= 2 * i or i == 0 for e, _ in row)
 
@@ -615,8 +611,8 @@ class TestFactorTables:
 class TestTwoIndexResolutions:
     def test_undeformed_two_index_table_matches_product(self):
         p = 29
-        gens = reso.module_generators(("YZ", "Z"), False, 3, p)
-        res = reso.minimal_resolution(gens, 4, 10, p, f=2, probe_completion=True)
+        gens = reso.module_generators(("YZ", "Z"), False, p)
+        res = reso.minimal_resolution(gens, 4, 10, p, f=2)
         assert reso.verify_resolution(res)
         assert res.next_kernel_empty is True
         assert res.betti().rows == reso.expected_table(("YZ", "Z"), False).rows
@@ -631,33 +627,32 @@ class TestTwoIndexResolutions:
         assert t.dims() == (1, 4, 6, 4, 1)
 
     @pytest.mark.parametrize(
-        "tags, with_in, imax, dmax, probe, dims, complete",
+        "tags, with_in, imax, dmax, dims, complete",
         [
-            (("Y",), False, 1, 6, True, (1, 2), False),
-            (("Y",), False, 2, 5, False, (1, 2, 1), None),
-            (("Y",), False, 0, 4, True, (1,), None),
-            (("Y",), False, 3, 9, True, (1, 2, 1), True),
-            (("Y",), True, 1, 6, True, (1, 3), False),
-            (("Y",), True, 2, 5, False, (1, 3, 3), None),
-            (("Y",), True, 0, 4, True, (1,), None),
-            (("Y",), True, 3, 9, True, (1, 3, 3, 1), True),
-            (("YZ", "Z"), False, 1, 6, True, (1, 4), False),
-            (("YZ", "Z"), False, 2, 5, False, (1, 4, 6), None),
-            (("YZ", "Z"), False, 0, 4, True, (1,), None),
-            (("YZ", "Z"), False, 6, 10, True, (1, 4, 6, 4, 1), True),
+            (("Y",), False, 1, 6, (1, 2), False),
+            (("Y",), False, 2, 5, (1, 2, 1), True),
+            (("Y",), False, 0, 4, (1,), None),
+            (("Y",), False, 3, 9, (1, 2, 1), True),
+            (("Y",), True, 1, 6, (1, 3), False),
+            # the level-3 generator sits at degree 6, outside the window
+            (("Y",), True, 2, 5, (1, 3, 3), True),
+            (("Y",), True, 0, 4, (1,), None),
+            (("Y",), True, 3, 9, (1, 3, 3, 1), True),
+            (("YZ", "Z"), False, 1, 6, (1, 4), False),
+            (("YZ", "Z"), False, 2, 5, (1, 4, 6), False),
+            (("YZ", "Z"), False, 0, 4, (1,), None),
+            (("YZ", "Z"), False, 6, 10, (1, 4, 6, 4, 1), True),
             # level 3 has a generator at (4, (1, -1)), found before the
             # level-2 generator at (4, (1, 3))
-            (("Y", "Z"), True, 3, 5, False, (1, 6, 14, 6), None),
+            (("Y", "Z"), True, 3, 5, (1, 6, 14, 6), True),
         ],
     )
-    def test_window_and_probe(self, tags, with_in, imax, dmax, probe, dims, complete):
+    def test_window_and_probe(self, tags, with_in, imax, dmax, dims, complete):
         # early stop at an empty level, the completion probe, and vectors
         # with one component per generator of the level below
         p = 29
-        gens = reso.module_generators(tags, with_in, 3, p)
-        res = reso.minimal_resolution(
-            gens, imax, dmax, p, f=len(tags), probe_completion=probe
-        )
+        gens = reso.module_generators(tags, with_in, p)
+        res = reso.minimal_resolution(gens, imax, dmax, p, f=len(tags))
         assert res.betti().dims() == dims
         assert res.next_kernel_empty is complete
         for i, vecs in enumerate(res.maps):
@@ -667,17 +662,17 @@ class TestTwoIndexResolutions:
         # undeformed quotient Tor dimensions depend only on the index count
         import math
 
-        res = reso.tor_grlambda([("Y",), ("Z",), ("YZ",)], imax=2)
+        res = reso.tor_grlambda([("Y",), ("Z",), ("YZ",)])
         assert res.total_dims() == tuple(3 * math.comb(2, i) for i in range(3))
 
 
 class TestVerification:
     def test_verify_accepts_computed(self):
-        chk = reso.resolution_tables("YZ", True, verify=True)
+        chk = reso.resolution_tables(("YZ",), True)
         assert reso.verify_resolution(chk.resolution)
 
     def test_verify_rejects_tampering(self):
-        chk = reso.resolution_tables("Y", False, verify=False)
+        chk = reso.resolution_tables(("Y",), False)
         res = chk.resolution
         # shifting a presentation generator by a unit breaks the composition
         bad_gen = (res.maps[0][0][0] + PbwElement.one(res.f, res.p),)
@@ -688,7 +683,7 @@ class TestVerification:
     @pytest.mark.parametrize("k", [0, 1])
     def test_verify_rejects_short_vectors(self, k):
         # a level-2 vector missing its trailing (zero) component
-        res = reso.resolution_tables("YZ", True, verify=False).resolution
+        res = reso.resolution_tables(("YZ",), True).resolution
         vecs = list(res.maps[1])
         assert not vecs[k][-1].terms
         vecs[k] = vecs[k][:-1]
@@ -700,7 +695,7 @@ class TestVerification:
     def test_euler_of_slices(self):
         # alternating sums of slice dimensions recover the quotient: the
         # undeformed Y-pattern quotient is spanned by the z-powers
-        chk = reso.resolution_tables("Y", False)
+        chk = reso.resolution_tables(("Y",), False)
         res = chk.resolution
         for deg in range(7):
             for w in range(-deg, deg + 1):
