@@ -11,7 +11,13 @@ dimensions follow from closed-form lattice-point counts over each
 clamp cell.
 
 Activity patterns are int bitsets over the generator subsets (bit s for
-subset s), built from per-threshold masks and cached by that int.
+subset s), built from per-threshold masks.  Each pattern is an upper set
+of subsets, and its cohomology is ranked on whichever side of the subset
+lattice is smaller: for r >= 1 generators the full augmented simplex
+complex is exact, so the active subcomplex has the cohomology of the
+inactive quotient shifted up by one.  The result is a pure function of
+(pattern, r, prime) and is memoized once per process, so ideals across
+configurations share their rankings.
 """
 
 from __future__ import annotations
@@ -19,12 +25,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from weightcalc.homology.linalg import rank_mod
 from weightcalc.monomial import minimal_exponents
 
-GEN_CAP = 16
+GEN_CAP = 12
 GRID_CAP = 50_000
+# distinct (pattern, r, prime) inputs kept by the pattern memo; `grid`
+# needs 486
+_MEMO_SIZE = 4096
 
 
 def _normalize_gens(gens, nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -125,11 +135,16 @@ def _boundary_matrix(
     return rows
 
 
-def _pattern_homology(active: int, r: int, prime: int) -> dict[int, int]:
-    """Nonzero cohomology dimensions of the dual complex on an active
-    upper set of generator subsets, given as a bitset."""
+def _level_homology(sets: int, r: int, prime: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero cohomology dimensions, as (index, dimension) pairs, of the
+    dual complex restricted to a set of generator subsets, given as a
+    bitset and ranked directly.
+
+    The restriction is a complex when the set is an upper set (a
+    subcomplex) or a lower set (a quotient complex).
+    """
     levels: list[list[int]] = [[] for _ in range(r + 1)]
-    for s, bit in enumerate(reversed(bin(active)[2:])):
+    for s, bit in enumerate(reversed(bin(sets)[2:])):
         if bit == "1":
             levels[s.bit_count()].append(s)
     ranks = []
@@ -138,13 +153,31 @@ def _pattern_homology(active: int, r: int, prime: int) -> dict[int, int]:
             ranks.append(0)
             continue
         ranks.append(rank_mod(_boundary_matrix(levels[k], levels[k + 1], r), prime))
-    out = {}
+    out = []
     for k in range(r + 1):
         dim = len(levels[k])
         h = dim - (ranks[k] if k < r else 0) - (ranks[k - 1] if k > 0 else 0)
         if h:
-            out[k] = h
-    return out
+            out.append((k, h))
+    return tuple(out)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pattern_homology(active: int, r: int, prime: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero cohomology dimensions of the dual complex on an active
+    upper set of generator subsets, given as a bitset.
+
+    Ranked on whichever side of the subset lattice is smaller.  For r >= 1
+    the full complex is exact, the active part is a subcomplex and the
+    inactive lower set the quotient, so H^k(active) = H^(k-1)(inactive).
+    At r = 0 the full complex is the single empty subset, which is not
+    exact, so the active side is ranked.  Memoized per process on the
+    pattern, r and the prime.
+    """
+    inactive = ((1 << (1 << r)) - 1) ^ active
+    if r and inactive.bit_count() < active.bit_count():
+        return tuple((k + 1, h) for k, h in _level_homology(inactive, r, prime))
+    return _level_homology(active, r, prime)
 
 
 def _is_acyclic_cone(active: int, without: list[int]) -> bool:
@@ -203,7 +236,6 @@ def taylor_ext_ranks(
     if reason:
         return ExtSummary(**base, nonzero_indices=(), degree_dims=())
     full, without, reach = _subset_masks(gens, nvars)
-    pattern_cache: dict[int, dict[int, int]] = {}
     # cells: map homological index -> list of (fixed degree sum, free coords, dim)
     cells: dict[int, list[tuple[int, int, int]]] = {}
     nonzero: set[int] = set()
@@ -218,14 +250,12 @@ def taylor_ext_ranks(
             continue
         if _is_acyclic_cone(active, without):
             continue
-        if active not in pattern_cache:
-            pattern_cache[active] = _pattern_homology(active, r, prime)
-        hom = pattern_cache[active]
+        hom = _pattern_homology(active, r, prime)
         if not hom:
             continue
         fixed = -sum(depths)
         nfree = sum(1 for d in depths if d == 0)
-        for i, h in hom.items():
+        for i, h in hom:
             nonzero.add(i)
             cells.setdefault(i, []).append((fixed, nfree, h))
     indices = tuple(sorted(i for i in nonzero if imax is None or i <= imax))
@@ -304,8 +334,8 @@ def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
         active = full ^ above
         in_ideal = any(all(g[v] <= top[v] for v in range(nvars)) for g in gens)
         # the primal maps are the transposes of the dual ones, so the
-        # same ranks give the homology
-        if _pattern_homology(active, r, prime) != ({} if in_ideal else {0: 1}):
+        # same ranks give the homology; ranked directly on the lower set
+        if _level_homology(active, r, prime) != (() if in_ideal else ((0, 1),)):
             return False
     return True
 

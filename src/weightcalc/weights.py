@@ -260,30 +260,41 @@ def t_type(lam: LambdaTuple, params: Params) -> tuple[TTag, ...]:
     return tuple(tags)
 
 
-def _enumerate(f: int, keep) -> tuple[LambdaTuple, ...]:
-    out = []
-    for ent in itertools.product(range(6), repeat=f):
-        lam = LambdaTuple(ent)
-        if keep(lam):
-            out.append(lam)
-    return tuple(sorted(out))
+@lru_cache(maxsize=256)
+def _family(f: int, kind: str, j_rho: frozenset[int]) -> tuple[LambdaTuple, ...]:
+    """Sorted members of one family, built once per process.
+
+    kind is "pss", "p", "dss" or "d"; the full and diagonal families
+    ignore j_rho and are always asked for with it empty, so every j_rho
+    shares them.  The tuples are frozen, so callers share the result.
+    """
+    if kind == "pss":
+        # product order is the sort order of LambdaTuple
+        members = (LambdaTuple(ent) for ent in itertools.product(range(6), repeat=f))
+        return tuple(lam for lam in members if lam.in_pss())
+    full = _family(f, "pss", frozenset())
+    if kind == "p":
+        return tuple(lam for lam in full if lam.in_p(j_rho))
+    if kind == "dss":
+        return tuple(lam for lam in full if lam.in_dss())
+    return tuple(lam for lam in full if lam.in_d(j_rho))
 
 
 def enumerate_pss(params: Params) -> tuple[LambdaTuple, ...]:
     """All tuples satisfying the cyclic adjacency conditions, sorted."""
-    return _enumerate(params.f, LambdaTuple.in_pss)
+    return _family(params.f, "pss", frozenset())
 
 
 def enumerate_p(params: Params) -> tuple[LambdaTuple, ...]:
-    return _enumerate(params.f, lambda lam: lam.in_p(params.j_rho))
+    return _family(params.f, "p", params.j_rho)
 
 
 def enumerate_dss(params: Params) -> tuple[LambdaTuple, ...]:
-    return _enumerate(params.f, LambdaTuple.in_dss)
+    return _family(params.f, "dss", frozenset())
 
 
 def enumerate_d(params: Params) -> tuple[LambdaTuple, ...]:
-    return _enumerate(params.f, lambda lam: lam.in_d(params.j_rho))
+    return _family(params.f, "d", params.j_rho)
 
 
 # Swapping x <-> x+2 and p-3-x <-> p-1-x; stays inside one slope class.

@@ -159,6 +159,45 @@ class TestRun:
             assert "exactness recheck" in check.details
         assert all(c.status == "pass" for c in suite.checks[6:])
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_certificate_is_inconclusive_not_fail(self, monkeypatch, cap):
+        from weightcalc.homology import taylor
+
+        monkeypatch.setattr(taylor, "GEN_CAP", cap)
+        (suite,) = run(_config(f=2, j_rho=frozenset(), r=(7, 7), suites=("cm",))).suites
+        assert not [c for c in suite.checks if c.status == "fail"]
+        capped = [c for c in suite.checks if c.status == "inconclusive"]
+        assert capped
+        for check in capped:
+            assert f"exceed the cap {cap}" in check.details
+        tags = {c.id.split(".")[1] for c in capped}
+        assert {"product-ideal", "split-product", "negative-control"} <= tags
+        assert ("pure-pattern" in tags) == (cap == 1)
+
+    def test_shared_memos_cover_their_inputs(self):
+        # the family and pattern memos are shared across configs; each
+        # config's report must not depend on what ran before it
+        from weightcalc import weights
+        from weightcalc.homology import taylor
+
+        suites = ("enumeration", "characters", "cycles", "cm", "lattice", "chain")
+        configs = [
+            _config(f=3, p=p, j_rho=frozenset(j_rho), r=r, suites=suites)
+            for p, r in ((29, (13, 16, 10)), (61, (13, 16, 19)))
+            for j_rho in ((), (0,), (1, 2), (0, 1, 2))
+        ]
+
+        def reports(clear: bool) -> list[str]:
+            out = []
+            for config in configs:
+                if clear:
+                    weights._family.cache_clear()
+                    taylor._pattern_homology.cache_clear()
+                out.append(run(config).to_json(with_timings=False))
+            return out
+
+        assert reports(clear=False) == reports(clear=True)
+
     def test_f2_cycles_and_lattice(self):
         report = run(
             _config(
@@ -260,6 +299,16 @@ class TestMainVerify:
         assert code == 0
         assert "Traceback" not in captured.out + captured.err
         assert "pass 20  fail 0  inconclusive 0" in captured.out
+
+    def test_f5_cm_suite_finishes_without_fail(self, capsys):
+        # split ideals with more than GEN_CAP generators are inconclusive
+        code = main(
+            "verify --f 5 --p 61 --jrho none --r 20,20,20,20,20 --suite cm".split()
+        )
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "fail 0" in out
+        assert "exceed the cap" in out
 
     def test_oversized_prime_is_refused_at_once(self, capsys):
         start = time.perf_counter()

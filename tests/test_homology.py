@@ -444,8 +444,49 @@ class TestTaylorExt:
                 if all(lcm[s][v] >= depths[v] for v in range(nv))
             )
             if taylor._is_acyclic_cone(active, without):
-                assert taylor._pattern_homology(active, r, 29) == {}, (gens, depths)
+                assert taylor._pattern_homology(active, r, 29) == (), (gens, depths)
 
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_smaller_side_matches_direct_ranking(self, data):
+        # an upper set of subsets of r generators: everything above a few
+        # random seeds (none gives the empty set, the empty seed all);
+        # small seeds with no common generator give nonzero cohomology
+        r = data.draw(st.integers(0, 6))
+        prime = data.draw(st.sampled_from([5, 29, LARGE_P]))
+        seed = st.lists(st.integers(0, r - 1), max_size=3) if r else st.just([])
+        seeds = [sum(1 << b for b in t) for t in data.draw(st.lists(seed, max_size=6))]
+        active = sum(
+            1 << s for s in range(1 << r) if any(s & t == t for t in seeds)
+        )
+        direct = taylor._level_homology(active, r, prime)
+        assert taylor._pattern_homology.__wrapped__(active, r, prime) == direct
+
+    def test_pattern_memo_keys_on_the_prime(self, monkeypatch):
+        # these +-1 complexes have the same ranks at every prime used here,
+        # so a rank function that reads the prime shows what the key holds
+        monkeypatch.setattr(
+            taylor, "rank_mod", lambda rows, p: 0 if p == 5 else rank_mod(rows, p)
+        )
+        active = 0b11101000  # the subsets of 3 generators with at least 2
+        taylor._pattern_homology.cache_clear()
+        try:
+            at = {p: taylor._pattern_homology(active, 3, p) for p in (29, 5)}
+        finally:
+            taylor._pattern_homology.cache_clear()
+        assert at == {29: ((2, 2),), 5: ((2, 3), (3, 1))}
+
+    def test_no_generators_keep_the_direct_side(self):
+        # r = 0: the only subset is the empty one, and the complex on it is
+        # not exact, so there is no complement to rank
+        for prime in (5, 29, LARGE_P):
+            assert taylor._pattern_homology(1, 0, prime) == ((0, 1),)
+            assert taylor._pattern_homology(0, 0, prime) == ()
+        for nv in (1, 2, 3):
+            s = taylor_ext_ranks([], nv)
+            assert s.nonzero_indices == (0,)
+            assert s.degree_dims == ((0, ((0, 1),)),)
 
 class TestCodim:
     def test_frozen_values(self):
