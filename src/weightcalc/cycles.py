@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from weightcalc.monomial import Monomial, MonomialIdeal, ideal_a1, ideal_a
 from weightcalc.weights import LambdaTuple, Params, TTag, star_involution
+
+# distinct ideals kept by the cycle memo; `grid` needs 636
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,13 @@ def survives_at(m: Monomial, mask: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def cycle_of(ideal: MonomialIdeal) -> CycleVector:
     """Cycle of the quotient by the ideal.
 
     Multiplicity 1 exactly at the primes where every generator dies.
+    Computed once per process for each ideal; the subquotient oracle
+    below never reads this memo.
     """
     f = ideal.f
     mults = []

@@ -17,7 +17,7 @@ lattice is smaller: for r >= 1 generators the full augmented simplex
 complex is exact, so the active subcomplex has the cohomology of the
 inactive quotient shifted up by one.  The result is a pure function of
 (pattern, r, prime) and is memoized once per process, so ideals across
-configurations share their rankings.
+configurations share their rankings; so is each ideal's whole summary.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from weightcalc.monomial import minimal_exponents
 
 GEN_CAP = 12
 GRID_CAP = 50_000
-# distinct (pattern, r, prime) inputs kept by the pattern memo; `grid`
-# needs 486
+# distinct inputs kept by each memo; `grid` needs 486 (pattern, r,
+# prime) rankings and 378 Ext summaries
 _MEMO_SIZE = 4096
 
 
@@ -211,9 +211,20 @@ def taylor_ext_ranks(
     exact set of nonvanishing homological indices (capped at imax when
     given).  Degree data is reported for total degrees up to dmax.
     Oversized inputs yield an inconclusive summary, never a silent
-    pass.
+    pass.  Computed once per process for each normalized input; the
+    summary is frozen, so callers share it.
     """
-    gens = _normalize_gens(gens, nvars)
+    return _ext_ranks(_normalize_gens(gens, nvars), nvars, imax, dmax, prime)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ext_ranks(
+    gens: tuple[tuple[int, ...], ...],
+    nvars: int,
+    imax: int | None,
+    dmax: int,
+    prime: int,
+) -> ExtSummary:
     r = len(gens)
     maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
     grid_size = math.prod(m + 1 for m in maxexp)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from weightcalc.characters import diff_of_lambda, kvec_diff
 from weightcalc.weights import (
@@ -21,6 +22,10 @@ from weightcalc.weights import (
     subsets,
     t_type,
 )
+
+# distinct inputs kept by each ideal memo; `grid` needs at most 1,340
+# (the threshold ideals)
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,15 @@ def type_ideal(tags) -> MonomialIdeal:
     """The ideal of a per-index type pattern.
 
     Y indices contribute y_j, Z indices z_j; YZ indices contribute the
-    product y_j z_j which is already zero in the quotient ring.
+    product y_j z_j which is already zero in the quotient ring.  Built
+    once per process for each pattern; the ideal is frozen, so callers
+    share it.
     """
+    return _type_ideal(tuple(tags))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _type_ideal(tags: tuple[TTag, ...]) -> MonomialIdeal:
     f = len(tags)
     gens = [
         Monomial.y(j, f) if tag is TTag.Y else Monomial.z(j, f)
@@ -193,9 +205,13 @@ def ideal_ijd(
     """Degree-d products of y over the first set and z over the second.
 
     Unit ideal for d <= 0; zero ideal when fewer than d indices are
-    available.
+    available.  Built once per process for each input.
     """
-    J1, J2 = frozenset(J1), frozenset(J2)
+    return _ideal_ijd(frozenset(J1), frozenset(J2), d, f)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ideal_ijd(J1: frozenset[int], J2: frozenset[int], d: int, f: int) -> MonomialIdeal:
     if J1 & J2:
         raise ValueError("index sets must be disjoint")
     for j in J1 | J2:
@@ -239,15 +255,25 @@ def ideal_a1(lam: LambdaTuple, i0: int, params: Params) -> MonomialIdeal:
     over the idle index sets, plus the type ideal.
 
     Unit ideal exactly when i0 < |J_lam|; collapses to the type ideal
-    when the idle sets cannot reach degree d.
+    when the idle sets cannot reach degree d.  Built once per process
+    for each (lam, i0, f, j_rho): the ideal reads nothing else of the
+    parameters, so every prime and residue vector shares it.
     """
     if not lam.in_p(params.j_rho):
         raise ValueError(f"{lam} is not in the restricted parameter family")
     if not -1 <= i0 <= params.f:
         raise ValueError(f"i0 must lie in [-1, {params.f}], got {i0}")
+    return _ideal_a1(lam, i0, params.f, params.j_rho)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ideal_a1(lam: LambdaTuple, i0: int, f: int, j_rho: frozenset[int]) -> MonomialIdeal:
+    # the index sets and the types read j_rho alone, so any prime and
+    # residues in range stand in for the caller's
+    params = Params(f, 5, j_rho, (0,) * f)
     J1, J2 = a1_index_sets(lam, params)
     d = i0 + 1 - len(j_set(lam))
-    return ideal_ijd(J1, J2, d, params.f) + ideal_a(lam, params)
+    return ideal_ijd(J1, J2, d, f) + ideal_a(lam, params)
 
 
 def standard_monomials(

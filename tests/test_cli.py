@@ -4,17 +4,89 @@ Everything goes through main(argv) in-process; stdout is captured with
 capsys.  The heavyweight f=2 homology suites are exercised once.
 """
 
+import contextlib
+import importlib
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weightcalc
 from weightcalc import cli
 from weightcalc.cli import ConfigError, RunConfig, SUITES, main, run
+
+
+# the memos that configs share within one process
+SHARED_MEMOS = (
+    "weightcalc.weights._family",
+    "weightcalc.monomial._type_ideal",
+    "weightcalc.monomial._ideal_ijd",
+    "weightcalc.monomial._ideal_a1",
+    "weightcalc.cycles.cycle_of",
+    "weightcalc.homology.taylor._ext_ranks",
+    "weightcalc.homology.taylor._pattern_homology",
+    "weightcalc.homology.resolution.module_resolution",
+)
+# lru_caches that may grow without a bound, each with why that is safe
+UNBOUNDED_MEMOS = {
+    "weightcalc.homology.resolution._local_keys": "one factor's (degree, character) slices within the windows",
+    "weightcalc.homology.resolution.slice_keys": "(f, degree, character) slices within the windows",
+    "weightcalc.homology.resolution._char_range": "one entry per (f, degree budget)",
+    "weightcalc.homology.pbw._local_product": "pairs of one-factor monomials within the windows, per prime",
+    "weightcalc.weights._check_star_contract": "one None per (f, j_rho)",
+}
+
+
+def _package_memos() -> dict[str, object]:
+    """Every module-level lru_cache of the package, by qualified name."""
+    out = {}
+    for info in pkgutil.walk_packages(weightcalc.__path__, "weightcalc."):
+        mod = importlib.import_module(info.name)
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                out[f"{mod.__name__}.{attr}"] = obj
+    return out
+
+
+def test_every_memo_is_bounded_or_allowed():
+    # a sweep runs many configs in one process, so its memos must not
+    # grow without limit
+    memos = _package_memos()
+    assert set(SHARED_MEMOS) <= set(memos)
+    unbounded = {n for n, m in memos.items() if m.cache_parameters()["maxsize"] is None}
+    assert unbounded == set(UNBOUNDED_MEMOS)
+
+
+def test_oracles_read_no_memo():
+    # the independent checks must not share results with the code they check
+    from weightcalc.cycles import cycle_of_subquotient, total_mult_formula
+    from weightcalc.homology import taylor
+    from weightcalc.monomial import Monomial, MonomialIdeal
+    from weightcalc.repmodel import _bottom_by_scan
+    from weightcalc.weights import TTag
+
+    big = MonomialIdeal(2, (Monomial.y(0, 2), Monomial.z(1, 2)))
+    small = MonomialIdeal(2, (Monomial((1, 0), (0, 1)),))
+    gens = big.lift_exponents()
+    summary = taylor.taylor_ext_ranks(gens, 4, dmax=3)
+    memos = _package_memos().values()
+    for memo in memos:
+        memo.cache_clear()
+    assert cycle_of_subquotient(big, small).total == 2
+    assert len(_bottom_by_scan(big, small)) == 2
+    assert taylor.taylor_primal_check(gens, 4)
+    assert taylor.hilbert_euler_check(gens, 4, 3)
+    assert taylor.ext_euler_check(summary, 3)
+    assert total_mult_formula({0}, {1}, 1, (TTag.YZ, TTag.YZ), 2) == 1
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
 
 def _config(**kw) -> RunConfig:
@@ -164,7 +236,13 @@ class TestRun:
         from weightcalc.homology import taylor
 
         monkeypatch.setattr(taylor, "GEN_CAP", cap)
-        (suite,) = run(_config(f=2, j_rho=frozenset(), r=(7, 7), suites=("cm",))).suites
+        # the Ext memo keys on the ideal, not the cap: no summary made
+        # under another cap may come in, and none made here may leave
+        taylor._ext_ranks.cache_clear()
+        try:
+            (suite,) = run(_config(f=2, j_rho=frozenset(), r=(7, 7), suites=("cm",))).suites
+        finally:
+            taylor._ext_ranks.cache_clear()
         assert not [c for c in suite.checks if c.status == "fail"]
         capped = [c for c in suite.checks if c.status == "inconclusive"]
         assert capped
@@ -175,28 +253,28 @@ class TestRun:
         assert ("pure-pattern" in tags) == (cap == 1)
 
     def test_shared_memos_cover_their_inputs(self):
-        # the family and pattern memos are shared across configs; each
-        # config's report must not depend on what ran before it
-        from weightcalc import weights
-        from weightcalc.homology import taylor
-
+        # the package's memos are shared across configs; each config's
+        # report must not depend on what ran before it, in either order
         suites = ("enumeration", "characters", "cycles", "cm", "lattice", "chain")
         configs = [
             _config(f=3, p=p, j_rho=frozenset(j_rho), r=r, suites=suites)
             for p, r in ((29, (13, 16, 10)), (61, (13, 16, 19)))
             for j_rho in ((), (0,), (1, 2), (0, 1, 2))
         ]
+        memos = _package_memos().values()
 
-        def reports(clear: bool) -> list[str]:
-            out = []
-            for config in configs:
+        def reports(order, clear: bool) -> dict[RunConfig, str]:
+            out = {}
+            for config in order:
                 if clear:
-                    weights._family.cache_clear()
-                    taylor._pattern_homology.cache_clear()
-                out.append(run(config).to_json(with_timings=False))
+                    for memo in memos:
+                        memo.cache_clear()
+                out[config] = run(config).to_json(with_timings=False)
             return out
 
-        assert reports(clear=False) == reports(clear=True)
+        cold = reports(configs, clear=True)
+        assert reports(configs, clear=False) == cold
+        assert reports(configs[::-1], clear=False) == cold
 
     def test_f2_cycles_and_lattice(self):
         report = run(
@@ -469,3 +547,56 @@ def test_import_loads_no_numpy():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+# primes the CLI accepts, and integers near its bounds 5 <= p < 2**40
+# that it refuses: 2**40 - 87 is the largest accepted prime and
+# 2**40 + 15 the least prime beyond the bound
+GOOD_PRIMES = (5, 7, 11, 29, 61, 1_099_511_627_609, 1_099_511_627_689)
+BAD_PRIMES = (-5, 0, 1, 2, 3, 4, 9, (1 << 40) - 1, 1 << 40, (1 << 40) + 15)
+
+
+@st.composite
+def _verify_argv(draw) -> list[str]:
+    f = draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0, -1)))
+    p = draw(st.sampled_from(GOOD_PRIMES) | st.sampled_from(GOOD_PRIMES + BAD_PRIMES))
+    # residues inside the gates, and at and beyond their low end and p's
+    # top end
+    residue = st.integers(9, max(9, p - 12)) | st.integers(-2, 12) | st.integers(p - 14, p + 1)
+    n = draw(st.sampled_from((f, f, f, f - 1, f + 1)).map(lambda n: max(n, 0)))
+    r = draw(st.lists(residue, min_size=n, max_size=n))
+    j_rho = draw(
+        st.sets(st.integers(0, max(f - 1, 0)))
+        | st.lists(st.integers(-1, 3), max_size=4, unique=True)
+    )
+    suites = draw(
+        st.lists(
+            st.sampled_from(("enumeration", "characters", "cycles")),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    argv = [
+        "verify",
+        f"--f={f}",
+        f"--p={p}",
+        "--jrho=" + (",".join(map(str, sorted(j_rho))) or "none"),
+        "--r=" + ",".join(map(str, r)),
+        "--suite=" + ",".join(suites),
+    ]
+    max_degree = draw(st.none() | st.integers(-3, 20))
+    if max_degree is not None:
+        argv.append(f"--max-degree={max_degree}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_verify_argv())
+def test_any_verify_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert ".uncaught." not in out.getvalue()

@@ -205,6 +205,13 @@ class TestIdealIJD:
         with pytest.raises(ValueError):
             ideal_ijd({2}, set(), 1, 2)
 
+    def test_plain_sets_give_the_frozen_ideal(self):
+        # the memo keys on frozensets; plain sets still come in
+        for J1, J2, d in (({0}, {1, 2}, 2), (set(), {0, 1}, 1), ({2}, set(), 3)):
+            ideal = ideal_ijd(set(J1), set(J2), d, 3)
+            assert ideal == ideal_ijd(frozenset(J1), frozenset(J2), d, 3)
+            assert ideal == ideal_ijd(list(J1), tuple(J2), d, 3)
+
 
 class TestIdealIn:
     def test_gens(self):
@@ -268,6 +275,24 @@ class TestIdealA1:
                         cur = ideal_a1(lam, i0, params)
                         assert prev.contains_ideal(cur)
                         prev = cur
+
+    def test_prime_and_residues_share_one_ideal(self):
+        # the ideal reads j_rho alone, so a second prime is a memo hit
+        lam = from_symbols("p-1-x", "p-1-x")
+        here = ideal_a1(lam, 1, mk(2, j_rho={0}, p=29, r=(9, 10)))
+        there = ideal_a1(lam, 1, mk(2, j_rho={0}, p=61, r=(13, 16)))
+        assert here is there
+        assert here != ideal_a1(lam, 1, mk(2, p=61, r=(13, 16)))
+
+    def test_validation_runs_after_a_memo_hit(self):
+        params = mk(1)
+        ideal_a1(from_symbols("x"), 1, params)
+        with pytest.raises(ValueError, match="i0 must lie"):
+            ideal_a1(from_symbols("x"), 2, params)
+        # x+2 is a member once index 0 is marked, and an outsider when not
+        ideal_a1(from_symbols("x+2"), 0, mk(1, j_rho={0}))
+        with pytest.raises(ValueError, match="restricted parameter family"):
+            ideal_a1(from_symbols("x+2"), 0, params)
 
     def test_index_sets(self):
         params = mk(2, j_rho={0})
