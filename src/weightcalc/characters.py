@@ -139,9 +139,7 @@ class ScanResult:
         return not self.violations
 
 
-def collision_scan(
-    params: Params, m: int, family: tuple[LambdaTuple, ...] | None = None
-) -> ScanResult:
+def collision_scan(params: Params, m: int) -> ScanResult:
     """Exhaust all (lam, mu, i-vector) with |i_j| <= m and equal residues.
 
     Falsification channel: every hit must fit the sign classification
@@ -149,8 +147,7 @@ def collision_scan(
     a Z index).  A hit outside that shape lands in `violations`.
     """
     params.require_genericity(m + 1)
-    if family is None:
-        family = enumerate_p(params)
+    family = enumerate_p(params)
     diffs = {lam: diff_of_lambda(lam, params).value for lam in family}
     mod = params.q_minus_one
     by_diff: dict[int, list[LambdaTuple]] = {}

@@ -230,7 +230,7 @@ def _cmd_ideal(args) -> int:
         "lam": str(lam),
         "i0": args.i0,
         "ideal": str(ideal),
-        "generators": [list(g.signed()) for g in ideal.gens],
+        "generators": [list(g.signed) for g in ideal.gens],
     }
     _emit(doc, f"{lam}  ->  {ideal}", args.format)
     return 0
@@ -276,7 +276,7 @@ def _cmd_tor(args) -> int:
     if dmax is None:
         dmax = 3 * imax + 1 if args.full else 2 * imax + 2
     gens = module_generators(tags, args.full, args.p)
-    res = minimal_resolution(gens, imax, dmax, args.p, f=f)
+    res = minimal_resolution(gens, imax, dmax, args.p, f)
     table = res.betti()
     doc = {
         "tags": list(tags),

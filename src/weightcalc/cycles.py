@@ -55,12 +55,9 @@ class CycleVector:
 
 def survives_at(m: Monomial, mask: int) -> bool:
     """True when the monomial is a unit in the localization at the prime."""
-    for j in range(m.f):
-        if m.y_exp[j] and not mask >> j & 1:
-            return False
-        if m.z_exp[j] and mask >> j & 1:
-            return False
-    return True
+    return all(
+        e == 0 or (e > 0) == bool(mask >> j & 1) for j, e in enumerate(m.signed)
+    )
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -23,29 +23,32 @@ MonoKey = tuple[tuple[int, int, int], ...]
 
 @lru_cache(maxsize=None)
 def _local_product(
-    t1: tuple[int, int, int], t2: tuple[int, int, int], p: int
+    t1: tuple[int, int, int], t2: tuple[int, int, int]
 ) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Normal-form terms of one factor's product y^a1 z^b1 h^c1 * y^a2 z^b2 h^c2,
-    straightening z^b1 * y^a2 by
+    with integer coefficients, straightening z^b1 * y^a2 by
 
     z^b y^a = sum_k (-1)^k k! C(a,k) C(b,k) h^k y^(a-k) z^(b-k).
+
+    Keyed without the prime, so every prime shares one entry.
     """
     a1, b1, c1 = t1
     a2, b2, c2 = t2
-    out = []
-    for k in range(min(a2, b1) + 1):
-        coeff = (-1) ** k * math.factorial(k) * math.comb(a2, k) * math.comb(b1, k)
-        cm = coeff % p
-        if cm:
-            out.append(((a1 + a2 - k, b1 + b2 - k, c1 + c2 + k), cm))
-    return tuple(out)
+    return tuple(
+        (
+            (a1 + a2 - k, b1 + b2 - k, c1 + c2 + k),
+            (-1) ** k * math.factorial(k) * math.comb(a2, k) * math.comb(b1, k),
+        )
+        for k in range(min(a2, b1) + 1)
+    )
 
 
 def multiply_keys(k1: MonoKey, k2: MonoKey, p: int) -> dict[MonoKey, int]:
     """Normal-form product of two basis monomials."""
-    per_index = [_local_product(t1, t2, p) for t1, t2 in zip(k1, k2)]
+    per_index = [_local_product(t1, t2) for t1, t2 in zip(k1, k2)]
     # the local terms at each index have distinct keys, so every
-    # combination gives a distinct key
+    # combination gives a distinct key; a local coefficient that
+    # vanishes mod p drops every combination it enters
     out: dict[MonoKey, int] = {}
     for combo in itertools.product(*per_index):
         coeff = 1

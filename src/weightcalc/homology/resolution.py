@@ -344,19 +344,13 @@ class Resolution:
         return BettiTable(self.f, tuple(tuple(sorted(s)) for s in self.shifts))
 
 
-def minimal_resolution(
-    gens, imax: int, dmax: int, p: int, f: int | None = None
-) -> Resolution:
+def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution:
     """Minimal graded free resolution of the cyclic quotient by the left
     ideal the generators span, out to homological index imax and internal
     degree dmax; only generators of degree at most dmax are kept, the
     presentation's included.  One more level is resolved to tell whether
     the resolution ends at imax within the window."""
     gens = list(gens)
-    if f is None:
-        if not gens:
-            raise ValueError("need at least one generator or an explicit f")
-        f = gens[0].f
     for g in gens:
         if g.terms and g.degree == 0:
             raise ValueError("unit ideal: zero module has no minimal resolution")
@@ -396,14 +390,15 @@ _MEMO_SIZE = 15
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def module_resolution(
-    tags: tuple[str, ...], with_in: bool, p: int, imax: int, dmax: int
-) -> Resolution:
+def module_resolution(tags: tuple[str, ...], with_in: bool, p: int) -> Resolution:
     """Minimal resolution of the quotient for one tag pattern, computed
-    once per process for each input.  The result is shared between
-    callers, which must not mutate it."""
-    gens = module_generators(tags, with_in, p)
-    return minimal_resolution(gens, imax, dmax, p, f=len(tags))
+    once per process for each input.  The window holds every reference
+    table: index 2f and degree 4f + 2 for the plain quotients, index 3f
+    and degree 6f + 2 for the cube-deformed ones.  The result is shared
+    between callers, which must not mutate it."""
+    f = len(tags)
+    imax, dmax = (3 * f, 6 * f + 2) if with_in else (2 * f, 4 * f + 2)
+    return minimal_resolution(module_generators(tags, with_in, p), imax, dmax, p, f)
 
 
 def verify_resolution(res: Resolution) -> bool:
@@ -542,14 +537,12 @@ class TableCheck:
 
 def resolution_tables(tags, with_in: bool, p: int = 29) -> TableCheck:
     """Resolution of the quotient for one tag pattern, checked entry by
-    entry against the reference table, with its window read off that
-    table; a mismatch is reported as a structured diff.  The exactness
-    recheck is the caller's: `verify_resolution(check.resolution)`."""
+    entry against the reference table; a mismatch is reported as a
+    structured diff.  The exactness recheck is the caller's:
+    `verify_resolution(check.resolution)`."""
     tags = tuple(tags)
     expected = expected_table(tags, with_in)
-    imax = len(expected.rows) - 1
-    dmax = max(e for row in expected.rows for e, _ in row) + 2
-    res = module_resolution(tags, with_in, p, imax, dmax)
+    res = module_resolution(tags, with_in, p)
     computed = res.betti()
     match = computed.rows == expected.rows and res.next_kernel_empty is True
     return TableCheck(computed, expected, match, computed.diff(expected), res)
@@ -583,28 +576,29 @@ def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
     f = len(patterns[0])
     if any(len(pt) != f for pt in patterns):
         raise ValueError("mixed index counts across summands")
-    imax = 2 * f
-    if dmax is None:
-        dmax = 4 * f + 2
-    # in-window completeness leans on the generator support bound [i, 2i],
-    # re-checked on every computed row
-    needed = 2 * imax
-    inconclusive = dmax < needed
-    reasons = (
-        [f"window {dmax} cannot certify generators up to degree {needed}"]
-        if inconclusive
-        else []
-    )
+    # one resolution per distinct pattern; an explicit window resolves
+    # outside the memo, which holds each module in its own window
+    resolved = {
+        pt: module_resolution(pt, False, p)
+        if dmax is None
+        else minimal_resolution(module_generators(pt, False, p), 2 * f, dmax, p, f)
+        for pt in dict.fromkeys(patterns)
+    }
+    reasons = []
     tables = []
     for pt in patterns:
-        table = module_resolution(pt, False, p, imax, dmax).betti()
+        table = resolved[pt].betti()
         for i, row in enumerate(table.rows):
             bad = [e for e, _ in row if not i <= e <= 2 * i]
             if i and bad:
-                inconclusive = True
                 reasons.append(f"support bound broken at i={i}, shifts {bad}")
         tables.append(table)
-    return TorResult(tuple(tables), inconclusive, "; ".join(reasons))
+    # in-window completeness leans on the generator support bound [i, 2i]
+    # up to index 2f, re-checked on every computed row above
+    window = resolved[patterns[0]].dmax
+    if window < 4 * f:
+        reasons.insert(0, f"window {window} cannot certify generators up to degree {4 * f}")
+    return TorResult(tuple(tables), bool(reasons), "; ".join(reasons))
 
 
 @dataclass(frozen=True)
@@ -630,8 +624,7 @@ def dual_degree_bound_check(tags, p: int = 29) -> DualBoundResult:
     f = len(tags)
     if f > 2:
         raise ValueError("checked only for one or two factors")
-    dmax = 4 * f + 2
-    res = module_resolution(tags, False, p, 2 * f, dmax)
+    res = module_resolution(tags, False, p)
     top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
     d = sum(1 for t in tags if t == "YZ")
     expected = 3 * (f - d) + 4 * d

@@ -198,32 +198,22 @@ def _is_acyclic_cone(active: int, without: list[int]) -> bool:
     )
 
 
-def taylor_ext_ranks(
-    gens,
-    nvars: int,
-    imax: int | None = None,
-    dmax: int = 0,
-    prime: int = 29,
-) -> ExtSummary:
+def taylor_ext_ranks(gens, nvars: int, dmax: int = 0, prime: int = 29) -> ExtSummary:
     """Certified Ext^i(R/I, R) vanishing set plus per-degree dimensions.
 
     The clamp grid covers every multidegree, so nonzero_indices is the
-    exact set of nonvanishing homological indices (capped at imax when
-    given).  Degree data is reported for total degrees up to dmax.
-    Oversized inputs yield an inconclusive summary, never a silent
-    pass.  Computed once per process for each normalized input; the
-    summary is frozen, so callers share it.
+    exact set of nonvanishing homological indices.  Degree data is
+    reported for total degrees up to dmax.  Oversized inputs yield an
+    inconclusive summary, never a silent pass.  Computed once per
+    process for each normalized input; the summary is frozen, so
+    callers share it.
     """
-    return _ext_ranks(_normalize_gens(gens, nvars), nvars, imax, dmax, prime)
+    return _ext_ranks(_normalize_gens(gens, nvars), nvars, dmax, prime)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _ext_ranks(
-    gens: tuple[tuple[int, ...], ...],
-    nvars: int,
-    imax: int | None,
-    dmax: int,
-    prime: int,
+    gens: tuple[tuple[int, ...], ...], nvars: int, dmax: int, prime: int
 ) -> ExtSummary:
     r = len(gens)
     maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
@@ -269,7 +259,7 @@ def _ext_ranks(
         for i, h in hom:
             nonzero.add(i)
             cells.setdefault(i, []).append((fixed, nfree, h))
-    indices = tuple(sorted(i for i in nonzero if imax is None or i <= imax))
+    indices = tuple(sorted(nonzero))
     dmin = -sum(maxexp)
     degree_dims = []
     for i in indices:

@@ -30,71 +30,49 @@ _MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class Monomial:
-    """A nonzero monomial of the quotient ring."""
+    """A nonzero monomial of the quotient ring, as its signed exponent
+    vector: entry e_j > 0 is y_j**e_j, e_j < 0 is z_j**(-e_j)."""
 
-    y_exp: tuple[int, ...]
-    z_exp: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y_exp", tuple(int(v) for v in self.y_exp))
-        object.__setattr__(self, "z_exp", tuple(int(v) for v in self.z_exp))
-        if len(self.y_exp) != len(self.z_exp):
-            raise ValueError("exponent vectors differ in length")
-        for a, b in zip(self.y_exp, self.z_exp):
-            if a < 0 or b < 0:
-                raise ValueError("negative exponent")
-            if a > 0 and b > 0:
-                raise ValueError("a monomial with y_j z_j is zero in the quotient")
+    signed: tuple[int, ...]
 
     @classmethod
     def one(cls, f: int) -> "Monomial":
-        return cls((0,) * f, (0,) * f)
-
-    @classmethod
-    def from_signed(cls, signed: tuple[int, ...]) -> "Monomial":
-        return cls(
-            tuple(e if e > 0 else 0 for e in signed),
-            tuple(-e if e < 0 else 0 for e in signed),
-        )
+        return cls((0,) * f)
 
     @classmethod
     def y(cls, j: int, f: int, n: int = 1) -> "Monomial":
-        return cls.from_signed(tuple(n if i == j else 0 for i in range(f)))
+        return cls(tuple(n if i == j else 0 for i in range(f)))
 
     @classmethod
     def z(cls, j: int, f: int, n: int = 1) -> "Monomial":
-        return cls.from_signed(tuple(-n if i == j else 0 for i in range(f)))
+        return cls(tuple(-n if i == j else 0 for i in range(f)))
 
     @property
     def f(self) -> int:
-        return len(self.y_exp)
-
-    def signed(self) -> tuple[int, ...]:
-        return tuple(a - b for a, b in zip(self.y_exp, self.z_exp))
+        return len(self.signed)
 
     @property
     def degree(self) -> int:
-        return sum(self.y_exp) + sum(self.z_exp)
-
-    def kvec(self) -> tuple[int, ...]:
-        """Formal elementary-character exponents: y gives +1, z gives -1."""
-        return self.signed()
+        return sum(abs(e) for e in self.signed)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= c for a, c in zip(self.y_exp, other.y_exp)) and all(
-            b <= d for b, d in zip(self.z_exp, other.z_exp)
+        return all(
+            0 <= a <= b or b <= a <= 0 for a, b in zip(self.signed, other.signed)
+        )
+
+    def lifted(self) -> tuple[int, ...]:
+        """Exponents in the free polynomial ring, y variables first."""
+        return tuple(max(e, 0) for e in self.signed) + tuple(
+            max(-e, 0) for e in self.signed
         )
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
         parts = []
-        for j, (a, b) in enumerate(zip(self.y_exp, self.z_exp)):
-            if a:
-                parts.append(f"y{j}" + (f"^{a}" if a > 1 else ""))
-            if b:
-                parts.append(f"z{j}" + (f"^{b}" if b > 1 else ""))
-        return "*".join(parts)
+        for j, e in enumerate(self.signed):
+            if e:
+                var = f"y{j}" if e > 0 else f"z{j}"
+                parts.append(var + (f"^{abs(e)}" if abs(e) > 1 else ""))
+        return "*".join(parts) or "1"
 
 
 def minimal_exponents(vectors) -> tuple[tuple[int, ...], ...]:
@@ -120,7 +98,7 @@ class MonomialIdeal:
             if g.f != self.f:
                 raise ValueError("generator index count mismatch")
         kept: list[Monomial] = []
-        for g in sorted(set(self.gens), key=lambda m: (m.degree, m.signed())):
+        for g in sorted(set(self.gens), key=lambda m: (m.degree, m.signed)):
             if not any(h.divides(g) for h in kept):
                 kept.append(g)
         object.__setattr__(self, "gens", tuple(kept))
@@ -150,7 +128,7 @@ class MonomialIdeal:
         Exponent vectors of length 2f (y variables first, then z),
         including the defining products y_j z_j, minimalized.
         """
-        raw = [g.y_exp + g.z_exp for g in self.gens]
+        raw = [g.lifted() for g in self.gens]
         for j in range(self.f):
             vec = [0] * (2 * self.f)
             vec[j] = 1
@@ -227,7 +205,7 @@ def _ideal_ijd(J1: frozenset[int], J2: frozenset[int], d: int, f: int) -> Monomi
             signed = tuple(
                 1 if j in take1 else (-1 if j in take2 else 0) for j in range(f)
             )
-            gens.append(Monomial.from_signed(signed))
+            gens.append(Monomial(signed))
     return MonomialIdeal(f, tuple(gens))
 
 
@@ -293,7 +271,7 @@ def standard_monomials(
         ybound = [None] * f
         zbound = [None] * f
         for g in ideal.gens:
-            sgn = g.signed()
+            sgn = g.signed
             support = [j for j in range(f) if sgn[j] != 0]
             if len(support) == 1:
                 (j,) = support
@@ -306,19 +284,11 @@ def standard_monomials(
         ranges = [
             list(range(-(zbound[j] - 1), ybound[j])) for j in range(f)
         ]
-        out = []
-        for signed in itertools.product(*ranges):
-            m = Monomial.from_signed(signed)
-            if not ideal.contains(m):
-                out.append(m)
-        out.sort(key=lambda m: (m.degree, m.signed()))
-        return out
-    out = []
-    for signed in signed_vectors(f, max_degree):
-        m = Monomial.from_signed(signed)
-        if not ideal.contains(m):
-            out.append(m)
-    out.sort(key=lambda m: (m.degree, m.signed()))
+        vectors = itertools.product(*ranges)
+    else:
+        vectors = signed_vectors(f, max_degree)
+    out = [m for m in map(Monomial, vectors) if not ideal.contains(m)]
+    out.sort(key=lambda m: (m.degree, m.signed))
     return out
 
 
@@ -346,8 +316,7 @@ def hilbert_function_pair(
     if not big.contains_ideal(small):
         raise ValueError("ideals are not nested")
     dims = [0] * (dmax + 1)
-    for signed in signed_vectors(big.f, dmax):
-        m = Monomial.from_signed(signed)
+    for m in map(Monomial, signed_vectors(big.f, dmax)):
         if big.contains(m) and not small.contains(m):
             dims[m.degree] += 1
     return tuple(dims)
@@ -385,9 +354,8 @@ def graded_characters(
     base = (-diff_of_lambda(lam, params).value) % params.q_minus_one
     per_degree: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(dmax + 1)]
     for m in standard_monomials(ideal, max_degree=dmax):
-        kv = m.kvec()
-        value = (base + kvec_diff(kv, params)) % params.q_minus_one
-        per_degree[m.degree].append((kv, value))
+        value = (base + kvec_diff(m.signed, params)) % params.q_minus_one
+        per_degree[m.degree].append((m.signed, value))
     return GradedCharMultiset(
         base_value=base,
         modulus=params.q_minus_one,

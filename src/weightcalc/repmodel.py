@@ -249,7 +249,7 @@ def _bottom_by_scan(
     for signed in itertools.product(rng, repeat=f):
         if sum(abs(e) for e in signed) > maxdeg:
             continue
-        m = Monomial.from_signed(signed)
+        m = Monomial(signed)
         if not big.contains(m) or small.contains(m):
             continue
         reducible = False
@@ -258,12 +258,12 @@ def _bottom_by_scan(
                 continue
             smaller = list(signed)
             smaller[j] -= 1 if e > 0 else -1
-            if big.contains(Monomial.from_signed(tuple(smaller))):
+            if big.contains(Monomial(tuple(smaller))):
                 reducible = True
                 break
         if not reducible:
             out.append(m)
-    return tuple(sorted(out, key=lambda m: (m.degree, m.signed())))
+    return tuple(sorted(out, key=lambda m: (m.degree, m.signed)))
 
 
 @dataclass(frozen=True)
@@ -295,9 +295,9 @@ def subquot_char_identity(i0: int, i0_prime: int, params: Params) -> SubquotChec
         small = ideal_a1(lam, i0_prime, params)
         base = (-diff_of_lambda(lam, params).value) % mod
         for g in _bottom_generators(big, small):
-            left.append((base + kvec_diff(g.kvec(), params)) % mod)
+            left.append((base + kvec_diff(g.signed, params)) % mod)
         for g in _bottom_by_scan(big, small):
-            scan.append((base + kvec_diff(g.kvec(), params)) % mod)
+            scan.append((base + kvec_diff(g.signed, params)) % mod)
     right: list[int] = []
     for lam in _pss_layer(params, i0 + 1):
         right.append((-diff_of_lambda(lam, params).value) % mod)

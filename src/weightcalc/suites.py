@@ -108,6 +108,70 @@ class Recorder:
 # ------------------------------------------------------- shared checks
 
 
+def check_families(rec: Recorder, params: Params) -> None:
+    """Sizes of the four tuple families, and the filter that separates
+    the full family from the restricted one."""
+    f = params.f
+    pss = enumerate_pss(params)
+    rec.add(
+        "family-count",
+        "the full family has 3**f + 1 members, matching the transfer-matrix count",
+        len(pss) == 3**f + 1 == transfer_matrix_count(f),
+        f"|family| = {len(pss)}",
+    )
+    dss = enumerate_dss(params)
+    jsets = [j_set(lam) for lam in dss]
+    rec.add(
+        "diagonal-count",
+        "the diagonal family has exactly one member per index subset",
+        len(dss) == 2**f and len(set(jsets)) == 2**f,
+        f"|diagonal family| = {len(dss)}",
+    )
+    d = enumerate_d(params)
+    rec.add(
+        "marked-diagonal-count",
+        "the filtered diagonal family has one member per marked subset",
+        len(d) == 2 ** len(params.j_rho)
+        and {j_set(lam) for lam in d} == set(subsets(params.j_rho)),
+        f"|filtered| = {len(d)} for {len(params.j_rho)} marked indices",
+    )
+    p = enumerate_p(params)
+    outside = [lam for lam in pss if lam not in p]
+    rec.add(
+        "family-filter",
+        "members outside the restricted family carry a gated symbol at an unmarked index",
+        all(
+            any(
+                s in (2, 3) and j not in params.j_rho
+                for j, s in enumerate(lam.entries)
+            )
+            for lam in outside
+        ),
+        f"|restricted| = {len(p)}, excluded = {len(outside)}",
+    )
+
+
+def check_lattice_states(rec: Recorder, params: Params) -> None:
+    """Invariant-functor dimension and forbidden characters of the
+    non-split lattice state at every threshold level."""
+    f = params.f
+    for i0 in range(-1, f + 1):
+        state = nonsplit_lattice(i0, params)
+        expected = sum(math.comb(f, i) for i in range(i0 + 1))
+        rec.add(
+            "functor-dim",
+            "the invariant-functor dimension is the partial binomial sum",
+            state.functor_dim == expected and (i0 < f or expected == 2**f),
+            f"i0 = {i0}: dim {state.functor_dim}",
+        )
+        rec.add(
+            "forbidden-disjoint",
+            "forbidden characters avoid the predicted character set",
+            not set(state.forbidden) & set(state.characters),
+            f"i0 = {i0}: {len(state.forbidden)} forbidden",
+        )
+
+
 def check_digit_unique(rec: Recorder, f: int, p: int, budget: int) -> int:
     """Digit uniqueness for every a in {-1, 0, 1}**f of weight at most
     budget against every b of weight at most that of a; returns the
@@ -465,44 +529,7 @@ def check_level_sets(rec: Recorder, params: Params, level_sets) -> None:
 
 def _suite_enumeration(params: Params, max_degree: int | None) -> list[Check]:
     rec = Recorder("weights")
-    f = params.f
-    pss = enumerate_pss(params)
-    rec.add(
-        "family-count",
-        "the full family has 3**f + 1 members, matching the transfer-matrix count",
-        len(pss) == 3**f + 1 == transfer_matrix_count(f),
-        f"|family| = {len(pss)}",
-    )
-    dss = enumerate_dss(params)
-    jsets = [j_set(lam) for lam in dss]
-    rec.add(
-        "diagonal-count",
-        "the diagonal family has exactly one member per index subset",
-        len(dss) == 2**f and len(set(jsets)) == 2**f,
-        f"|diagonal family| = {len(dss)}",
-    )
-    d = enumerate_d(params)
-    rec.add(
-        "marked-diagonal-count",
-        "the filtered diagonal family has one member per marked subset",
-        len(d) == 2 ** len(params.j_rho)
-        and {j_set(lam) for lam in d} == set(subsets(params.j_rho)),
-        f"|filtered| = {len(d)} for {len(params.j_rho)} marked indices",
-    )
-    p = enumerate_p(params)
-    outside = [lam for lam in pss if lam not in p]
-    rec.add(
-        "family-filter",
-        "members outside the restricted family carry a gated symbol at an unmarked index",
-        all(
-            any(
-                s in (2, 3) and j not in params.j_rho
-                for j, s in enumerate(lam.entries)
-            )
-            for lam in outside
-        ),
-        f"|restricted| = {len(p)}, excluded = {len(outside)}",
-    )
+    check_families(rec, params)
     return rec.checks
 
 
@@ -533,9 +560,8 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
         ideal = ideal_ijd(J1, frozenset(range(f)) - J1, d, f)
         return grade_and_cm(ideal.lift_exponents(), nv, prime=params.p)
 
-    # the J1 = [] split is the product ideal itself, certified once per d
-    product = {d: certify(frozenset(), d) for d in range(1, f + 1)}
-    for d, v in product.items():
+    for d in range(1, f + 1):
+        v = certify(frozenset(), d)
         rec.add(
             "product-ideal",
             "the degree-d product quotient is Cohen-Macaulay of grade f",
@@ -544,7 +570,7 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
         )
     for J1 in subsets(range(f)):
         for d in range(1, f + 1):
-            v = certify(J1, d) if J1 else product[d]
+            v = certify(J1, d)
             rec.add(
                 "split-product",
                 "two-sided product quotients stay Cohen-Macaulay of grade f",
@@ -617,22 +643,7 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
 
 def _suite_lattice(params: Params, max_degree: int | None) -> list[Check]:
     rec = Recorder("repmodel")
-    f = params.f
-    for i0 in range(-1, f + 1):
-        state = nonsplit_lattice(i0, params)
-        expected = sum(math.comb(f, i) for i in range(i0 + 1))
-        rec.add(
-            "functor-dim",
-            "the invariant-functor dimension is the partial binomial sum",
-            state.functor_dim == expected and (i0 < f or expected == 2**f),
-            f"i0 = {i0}: dim {state.functor_dim}",
-        )
-        rec.add(
-            "forbidden-disjoint",
-            "forbidden characters avoid the predicted character set",
-            not set(state.forbidden) & set(state.characters),
-            f"i0 = {i0}: {len(state.forbidden)} forbidden",
-        )
+    check_lattice_states(rec, params)
     check_subquotients(rec, params)
     return rec.checks
 

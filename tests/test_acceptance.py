@@ -10,7 +10,6 @@ own, wider grid; the brute-force oracles stay written out here.
 
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,7 +20,6 @@ from weightcalc.characters import diff_of_lambda
 from weightcalc.homology.resolution import TorResult, resolution_tables, verify_resolution
 from weightcalc.homology.taylor import grade_and_cm
 from weightcalc.monomial import ideal_ijd, type_ideal
-from weightcalc.repmodel import nonsplit_lattice
 from weightcalc.suites import (
     Recorder,
     check_additivity,
@@ -30,6 +28,8 @@ from weightcalc.suites import (
     check_digit_unique,
     check_dual_shifts,
     check_factor_tables,
+    check_families,
+    check_lattice_states,
     check_level_sets,
     check_maximal_chain,
     check_pure_patterns,
@@ -42,11 +42,8 @@ from weightcalc.suites import (
 from weightcalc.weights import (
     Params,
     TTag,
-    enumerate_d,
-    enumerate_dss,
     enumerate_p,
     enumerate_pss,
-    j_set,
     subsets,
     t_type,
 )
@@ -72,22 +69,11 @@ def _params(f: int, j_rho=None, p: int = 29) -> Params:
 
 
 def test_criterion_1_enumeration():
-    problems = []
+    rec = Recorder("weights")
     for f in range(1, 6):
-        params = _params(f)
-        dss = enumerate_dss(params)
-        if len(dss) != 2**f:
-            problems.append(f"f={f}: diagonal count {len(dss)}")
-        if {j_set(lam) for lam in dss} != {
-            frozenset(c)
-            for k in range(f + 1)
-            for c in itertools.combinations(range(f), k)
-        }:
-            problems.append(f"f={f}: defect sets not a bijection onto subsets")
         for j_rho in subsets(range(f)) if f <= 4 else [frozenset(), frozenset(range(f))]:
-            d = enumerate_d(_params(f, j_rho))
-            if len(d) != 2 ** len(j_rho):
-                problems.append(f"f={f}, marked={sorted(j_rho)}: {len(d)}")
+            check_families(rec, _params(f, j_rho))
+    problems = _failures(rec)
     # brute-force oracle: re-derive the adjacency rule from scratch and
     # count cyclic tuples over the six symbols
     after_positive = {0, 2, 4}
@@ -253,21 +239,15 @@ def test_criterion_6_truncated_quotients():
 
 def test_criterion_7_structural_predictions():
     rec = Recorder("repmodel")
-    problems = []
     sub_pairs = 0
     for f in range(1, 5):
         for j_rho in subsets(range(f)):
             params = _params(f, j_rho)
-            for i0 in range(-1, f + 1):
-                state = nonsplit_lattice(i0, params)
-                if state.functor_dim != sum(math.comb(f, i) for i in range(i0 + 1)):
-                    problems.append(f"f={f} marked={sorted(j_rho)} i0={i0}: functor dim")
-                if i0 == f and state.functor_dim != 2**f:
-                    problems.append(f"f={f}: endpoint dimension is not 2^f")
+            check_lattice_states(rec, params)
             sub_pairs += check_subquotients(rec, params)
             check_maximal_chain(rec, params)
         check_level_sets(rec, _params(f), subsets(range(f + 1)))
-    problems += _failures(rec)
+    problems = _failures(rec)
     _line(
         7,
         "structural predictions",

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import weightcalc
 from weightcalc import cli
 from weightcalc.cli import ConfigError, RunConfig, SUITES, main, run
+from weightcalc.weights import SYMBOLS
 
 
 # the memos that configs share within one process
@@ -40,7 +41,7 @@ UNBOUNDED_MEMOS = {
     "weightcalc.homology.resolution._local_keys": "one factor's (degree, character) slices within the windows",
     "weightcalc.homology.resolution.slice_keys": "(f, degree, character) slices within the windows",
     "weightcalc.homology.resolution._char_range": "one entry per (f, degree budget)",
-    "weightcalc.homology.pbw._local_product": "pairs of one-factor monomials within the windows, per prime",
+    "weightcalc.homology.pbw._local_product": "pairs of one-factor monomials within the windows, shared by every prime",
     "weightcalc.weights._check_star_contract": "one None per (f, j_rho)",
 }
 
@@ -74,7 +75,7 @@ def test_oracles_read_no_memo():
     from weightcalc.weights import TTag
 
     big = MonomialIdeal(2, (Monomial.y(0, 2), Monomial.z(1, 2)))
-    small = MonomialIdeal(2, (Monomial((1, 0), (0, 1)),))
+    small = MonomialIdeal(2, (Monomial((1, -1)),))
     gens = big.lift_exponents()
     summary = taylor.taylor_ext_ranks(gens, 4, dmax=3)
     memos = _package_memos().values()
@@ -204,6 +205,11 @@ class TestRun:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(reso, "minimal_resolution", counted)
+        reso.module_resolution.cache_clear()
+        run(_config(suites=("resolutions", "tor")))
+        # six factor tables, which the dual check and the tor suite share
+        assert len(calls) == 6
+        calls.clear()
         f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
         reso.module_resolution.cache_clear()
         run(_config(**f2, suites=("resolutions", "tor")))
@@ -600,3 +606,56 @@ def test_any_verify_argv_exits_cleanly(argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert ".uncaught." not in out.getvalue()
+
+
+@st.composite
+def _inspect_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(("ideal", "cycle", "hilbert", "tor")))
+    if command == "tor":
+        # at most two tags and a bounded window keep each resolution small;
+        # p = 5 and 7 reach products whose coefficients vanish mod p
+        tags = st.sampled_from(("Y", "Z", "YZ", "Y", "Z", "YZ", "y", "X", ""))
+        argv = [
+            "tor",
+            "--tags=" + ",".join(draw(st.lists(tags, min_size=1, max_size=2))),
+            f"--p={draw(st.sampled_from((5, 7, 29)))}",
+            f"--max-degree={draw(st.integers(-3, 8))}",
+        ]
+        return argv + (["--full"] if draw(st.booleans()) else [])
+    f = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((29, 61)))
+    r = draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f))
+    lam = draw(st.lists(st.sampled_from(SYMBOLS), min_size=f, max_size=f))
+    j_rho = sorted(draw(st.sets(st.integers(0, f - 1))))
+    # at most one malformed field, so that most draws reach the library
+    bad = draw(st.sampled_from((None, None, None, "r", "lam", "jrho")))
+    if bad == "r":
+        r = draw(st.sampled_from((r[:-1], r + [0], r[:-1] + [p])))
+    elif bad == "lam":
+        lam = draw(st.sampled_from((lam[:-1], lam + ["x"], lam[:-1] + ["y"])))
+    elif bad == "jrho":
+        j_rho.append(draw(st.sampled_from((-1, f))))
+    argv = [
+        command,
+        f"--f={f}",
+        f"--p={p}",
+        "--jrho=" + (",".join(map(str, j_rho)) or "none"),
+        "--r=" + ",".join(map(str, r)),
+        "--lam=" + ",".join(lam),
+    ]
+    i0 = draw(st.none() | st.integers(-3, f + 2))
+    if i0 is not None:
+        argv.append(f"--i0={i0}")
+    if command == "hilbert":
+        argv.append(f"--max-degree={draw(st.integers(-3, 10))}")
+    return argv + ["--format=" + draw(st.sampled_from(("text", "json")))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_inspect_argv())
+def test_any_inspection_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

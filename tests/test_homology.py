@@ -280,6 +280,19 @@ class TestPbw:
         u, v, w = data.draw(mono), data.draw(mono), data.draw(mono)
         assert (u * v) * w == u * (v * w)
 
+    def test_local_products_shared_across_primes(self):
+        from weightcalc.homology import pbw
+
+        def resolve(p):
+            gens = reso.module_generators(("YZ", "Z"), False, p)
+            reso.minimal_resolution(gens, 4, 10, p, 2)
+
+        pbw._local_product.cache_clear()
+        resolve(61)
+        size = pbw._local_product.cache_info().currsize
+        resolve(67)
+        assert size and pbw._local_product.cache_info().currsize == size
+
 
 ALL_TAGS = ("Y", "Z", "YZ")
 
@@ -567,12 +580,12 @@ class TestSliceBases:
 class TestModuleGenerators:
     def test_cube_power_absorbed_on_matching_branch(self):
         gens = reso.module_generators(("Y",), True, 29)
-        res = reso.minimal_resolution(gens, 1, 3, 29)
+        res = reso.minimal_resolution(gens, 1, 3, 29, 1)
         assert list(res.shifts[1]) == [(1, (1,)), (2, (0,)), (3, (-3,))]
 
     def test_product_tag_keeps_both_cubes(self):
         gens = reso.module_generators(("YZ",), True, 29)
-        res = reso.minimal_resolution(gens, 1, 3, 29)
+        res = reso.minimal_resolution(gens, 1, 3, 29, 1)
         assert sorted(res.shifts[1]) == [(2, (0,)), (2, (0,)), (3, (-3,)), (3, (3,))]
 
     def test_minimalize_drops_multiples(self):
@@ -587,7 +600,7 @@ class TestModuleGenerators:
 
     def test_unit_generator_rejected(self):
         with pytest.raises(ValueError):
-            reso.minimal_resolution([PbwElement.one(1, 29)], 2, 6, 29)
+            reso.minimal_resolution([PbwElement.one(1, 29)], 2, 6, 29, 1)
 
 
 class TestFactorTables:
@@ -653,7 +666,7 @@ class TestTwoIndexResolutions:
     def test_undeformed_two_index_table_matches_product(self):
         p = 29
         gens = reso.module_generators(("YZ", "Z"), False, p)
-        res = reso.minimal_resolution(gens, 4, 10, p, f=2)
+        res = reso.minimal_resolution(gens, 4, 10, p, 2)
         assert reso.verify_resolution(res)
         assert res.next_kernel_empty is True
         assert res.betti().rows == reso.expected_table(("YZ", "Z"), False).rows
@@ -693,7 +706,7 @@ class TestTwoIndexResolutions:
         # with one component per generator of the level below
         p = 29
         gens = reso.module_generators(tags, with_in, p)
-        res = reso.minimal_resolution(gens, imax, dmax, p, f=len(tags))
+        res = reso.minimal_resolution(gens, imax, dmax, p, len(tags))
         assert res.betti().dims() == dims
         assert res.next_kernel_empty is complete
         for i, vecs in enumerate(res.maps):

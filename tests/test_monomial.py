@@ -45,28 +45,18 @@ def mk(f: int, j_rho=(), p: int = 29, r=None) -> Params:
 
 
 class TestMonomial:
-    def test_rejects_mixed_index(self):
-        with pytest.raises(ValueError):
-            Monomial((1,), (1,))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Monomial((-1,), (0,))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Monomial((1, 0), (0,))
-
     def test_signed_round_trip(self):
         for signed in itertools.product(range(-3, 4), repeat=2):
-            m = Monomial.from_signed(signed)
-            assert m.signed() == signed
+            m = Monomial(signed)
             assert m.degree == sum(abs(e) for e in signed)
+            lifted = m.lifted()
+            assert tuple(a - b for a, b in zip(lifted[:2], lifted[2:])) == signed
+            assert not any(a and b for a, b in zip(lifted[:2], lifted[2:]))
 
     def test_constructors(self):
         assert Monomial.one(2).degree == 0
-        assert Monomial.y(0, 2).signed() == (1, 0)
-        assert Monomial.z(1, 2, n=3).signed() == (0, -3)
+        assert Monomial.y(0, 2).signed == (1, 0)
+        assert Monomial.z(1, 2, n=3).signed == (0, -3)
 
     def test_divides(self):
         y = Monomial.y(0, 1)
@@ -76,10 +66,16 @@ class TestMonomial:
         # opposite branches never divide each other
         assert not y.divides(z) and not z.divides(y)
         assert Monomial.one(1).divides(z)
+        # against the exponent order in the free polynomial ring
+        vecs = [Monomial(v) for v in itertools.product(range(-2, 3), repeat=2)]
+        for a in vecs:
+            for b in vecs:
+                lifted_le = all(x <= w for x, w in zip(a.lifted(), b.lifted()))
+                assert a.divides(b) == lifted_le
 
     def test_str(self):
         assert str(Monomial.one(1)) == "1"
-        assert str(Monomial((2, 0), (0, 1))) == "y0^2*z1"
+        assert str(Monomial((2, -1))) == "y0^2*z1"
 
 
 class TestMonomialIdeal:
@@ -91,12 +87,12 @@ class TestMonomialIdeal:
     def test_minimalization_preserves_membership(self):
         # membership decided against the raw list must survive pruning
         raw = [
-            Monomial.from_signed(v)
+            Monomial(v)
             for v in [(1, 0), (2, -0), (0, -2), (1, -1), (0, -3)]
         ]
         ideal = MonomialIdeal(2, tuple(raw))
         for signed in itertools.product(range(-3, 4), repeat=2):
-            m = Monomial.from_signed(signed)
+            m = Monomial(signed)
             assert ideal.contains(m) == any(g.divides(m) for g in raw)
 
     def test_unit_zero(self):
@@ -179,7 +175,7 @@ class TestIdealIJD:
 
     def test_mixed_top_degree_example(self):
         ideal = ideal_ijd({0}, {1}, 2, 2)
-        assert ideal.gens == (Monomial((1, 0), (0, 1)),)
+        assert ideal.gens == (Monomial((1, -1)),)
 
     def test_generator_count(self):
         import math
@@ -309,13 +305,13 @@ def conv_oracle(ideal: MonomialIdeal, dmax: int) -> tuple[int, ...]:
     """
     f = ideal.f
     for g in ideal.gens:
-        assert sum(1 for e in g.signed() if e) <= 1, "oracle needs split generators"
+        assert sum(1 for e in g.signed if e) <= 1, "oracle needs split generators"
     per_index = []
     for j in range(f):
-        local = [g for g in ideal.gens if all(g.signed()[i] == 0 for i in range(f) if i != j)]
+        local = [g for g in ideal.gens if all(g.signed[i] == 0 for i in range(f) if i != j)]
         counts = [0] * (dmax + 1)
         for e in range(-dmax, dmax + 1):
-            m = Monomial.from_signed(tuple(e if i == j else 0 for i in range(f)))
+            m = Monomial(tuple(e if i == j else 0 for i in range(f)))
             if not any(g.divides(m) for g in local):
                 counts[abs(e)] += 1
         per_index.append(counts)
@@ -459,7 +455,7 @@ class TestGradedCharacters:
     )
 )
 def test_minimal_gens_form_antichain(signed_pairs):
-    ideal = MonomialIdeal(2, tuple(Monomial.from_signed(v) for v in signed_pairs))
+    ideal = MonomialIdeal(2, tuple(Monomial(v) for v in signed_pairs))
     for g in ideal.gens:
         for h in ideal.gens:
             if g != h:
@@ -473,7 +469,7 @@ def test_minimal_gens_form_antichain(signed_pairs):
     st.integers(-4, 4),
 )
 def test_divisibility_matches_signed_order(f, a, b):
-    m1 = Monomial.from_signed((a,) + (0,) * (f - 1))
-    m2 = Monomial.from_signed((b,) + (0,) * (f - 1))
+    m1 = Monomial((a,) + (0,) * (f - 1))
+    m2 = Monomial((b,) + (0,) * (f - 1))
     same_branch = a * b > 0 or a == 0
     assert m1.divides(m2) == (same_branch and abs(a) <= abs(b))
