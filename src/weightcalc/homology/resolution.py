@@ -561,6 +561,15 @@ class TorResult:
         )
 
 
+def _cut_table(table: BettiTable, dmax: int) -> BettiTable:
+    """The table a resolution in a window up to degree dmax would give:
+    shifts of degree above dmax dropped, then trailing empty rows."""
+    rows = [tuple(sh for sh in row if sh[0] <= dmax) for row in table.rows]
+    while rows and not rows[-1]:
+        rows.pop()
+    return BettiTable(table.f, tuple(rows))
+
+
 def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
     """Tor of a direct sum of undeformed cyclic quotients, one summand per
     tag pattern, as shift/character tables per homological index up to
@@ -576,18 +585,22 @@ def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
     f = len(patterns[0])
     if any(len(pt) != f for pt in patterns):
         raise ValueError("mixed index counts across summands")
-    # one resolution per distinct pattern; an explicit window resolves
-    # outside the memo, which holds each module in its own window
-    resolved = {
-        pt: module_resolution(pt, False, p)
-        if dmax is None
-        else minimal_resolution(module_generators(pt, False, p), 2 * f, dmax, p, f)
-        for pt in dict.fromkeys(patterns)
-    }
+    # one table per distinct pattern, cut from the memo's window (degree
+    # 4f + 2) when the requested one fits inside it
+    top = 4 * f + 2
+    window = top if dmax is None else dmax
+
+    def table_of(pt: tuple[str, ...]) -> BettiTable:
+        if window <= top:
+            return _cut_table(module_resolution(pt, False, p).betti(), window)
+        gens = module_generators(pt, False, p)
+        return minimal_resolution(gens, 2 * f, window, p, f).betti()
+
+    resolved = {pt: table_of(pt) for pt in dict.fromkeys(patterns)}
     reasons = []
     tables = []
     for pt in patterns:
-        table = resolved[pt].betti()
+        table = resolved[pt]
         for i, row in enumerate(table.rows):
             bad = [e for e, _ in row if not i <= e <= 2 * i]
             if i and bad:
@@ -595,7 +608,6 @@ def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
         tables.append(table)
     # in-window completeness leans on the generator support bound [i, 2i]
     # up to index 2f, re-checked on every computed row above
-    window = resolved[patterns[0]].dmax
     if window < 4 * f:
         reasons.insert(0, f"window {window} cannot certify generators up to degree {4 * f}")
     return TorResult(tuple(tables), bool(reasons), "; ".join(reasons))

@@ -17,23 +17,31 @@ lattice is smaller: for r >= 1 generators the full augmented simplex
 complex is exact, so the active subcomplex has the cohomology of the
 inactive quotient shifted up by one.  The result is a pure function of
 (pattern, r, prime) and is memoized once per process, so ideals across
-configurations share their rankings; so is each ideal's whole summary.
+configurations share their rankings.
+
+Each ideal's whole summary is memoized on a canonical form under the
+pair symmetries of the doubled ring: permuting the index pairs
+(y_j, z_j) and swapping y_j with z_j permutes the variables, which
+leaves every Ext module's vanishing and graded dimensions unchanged
+(Bruns & Herzog, Cohen-Macaulay Rings, 1.3), so isomorphic ideals share
+one certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import itemgetter
 
 from weightcalc.homology.linalg import rank_mod
 from weightcalc.monomial import minimal_exponents
 
 GEN_CAP = 12
 GRID_CAP = 50_000
-# distinct inputs kept by each memo; `grid` needs 486 (pattern, r,
-# prime) rankings and 378 Ext summaries
+# distinct inputs kept by each memo; `grid` needs 378 canonical forms,
+# 42 Ext summaries and 100 (pattern, r, prime) rankings
 _MEMO_SIZE = 4096
 
 
@@ -47,6 +55,52 @@ def _normalize_gens(gens, nvars: int) -> tuple[tuple[int, ...], ...]:
             raise ValueError("negative exponent")
         out.append(g)
     return minimal_exponents(out)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _canonical_gens(
+    gens: tuple[tuple[int, ...], ...], nvars: int
+) -> tuple[tuple[int, ...], ...]:
+    """Least image of normalized generators under the pair symmetries.
+
+    For nvars = 2f, variable j pairs with variable f + j; the group
+    permutes the pairs and swaps the two variables of a pair.  A pair's
+    profile is the sorted list of its exponent pairs over the generators.
+    Each pair is oriented so that its profile is the smaller of itself
+    and its swap, and pairs are ordered by oriented profile; only ties
+    are tried both ways: every order of pairs with equal profiles, and
+    both orientations of a pair whose profile equals its swap.  The
+    result is g.gens for an explicit group element g, sorted as
+    `minimal_exponents` sorts, so equal forms are isomorphic ideals.  Odd
+    nvars, and none, keep the identity.  Memoized per process.
+    """
+    if nvars % 2 or not nvars:
+        return gens
+    f = nvars // 2
+    # pairs by oriented profile, and the orientations to try per pair
+    blocks: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    turns = []
+    for j in range(f):
+        fwd = sorted((g[j], g[f + j]) for g in gens)
+        rev = sorted((b, a) for a, b in fwd)
+        blocks.setdefault(tuple(min(fwd, rev)), []).append(j)
+        turns.append((False, True) if fwd == rev else (rev < fwd,))
+    # the group fixes each generator's degree, so images compare as
+    # their sorted (degree, vector) lists
+    graded = [(sum(g), g) for g in gens]
+    best = None
+    orders = [itertools.permutations(blocks[k]) for k in sorted(blocks)]
+    for order in itertools.product(*orders):
+        pairs = [j for block in order for j in block]
+        for turn in itertools.product(*(turns[j] for j in pairs)):
+            # new variable k reads old variable src[k]
+            src = [f + j if t else j for j, t in zip(pairs, turn)]
+            src += [j if t else f + j for j, t in zip(pairs, turn)]
+            read = itemgetter(*src)
+            image = sorted([(deg, read(g)) for deg, g in graded])
+            if best is None or image < best:
+                best = image
+    return tuple(g for _, g in best)
 
 
 @dataclass(frozen=True)
@@ -205,10 +259,12 @@ def taylor_ext_ranks(gens, nvars: int, dmax: int = 0, prime: int = 29) -> ExtSum
     exact set of nonvanishing homological indices.  Degree data is
     reported for total degrees up to dmax.  Oversized inputs yield an
     inconclusive summary, never a silent pass.  Computed once per
-    process for each normalized input; the summary is frozen, so
-    callers share it.
+    process for each canonical form (`_canonical_gens`) and prime; the
+    summary carries the caller's own normalized generators.
     """
-    return _ext_ranks(_normalize_gens(gens, nvars), nvars, dmax, prime)
+    gens = _normalize_gens(gens, nvars)
+    summary = _ext_ranks(_canonical_gens(gens, nvars), nvars, dmax, prime)
+    return replace(summary, gens=gens)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -14,6 +14,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from weightcalc.characters import (
     collision_scan,
@@ -216,10 +217,11 @@ def check_collision_scan(rec: Recorder, params: Params, m: int) -> None:
     )
 
 
-def check_closed_form(rec: Recorder, f: int, d: int) -> int:
-    """The closed-form total multiplicity at product degree d, over every
-    placement of the indices in J1, J2, or outside both with any type;
-    returns the number of configurations."""
+# The count reads only (f, d), never the prime, residues or marked
+# indices, so it is made once per process; `grid` needs 10 entries.
+@lru_cache(maxsize=64)
+def _closed_form_counts(f: int, d: int) -> tuple[int, int]:
+    """(configurations, mismatches) of the closed-form check."""
     mismatches = 0
     cases = 0
     for assign in itertools.product((0, 1, 2), repeat=f):
@@ -234,6 +236,14 @@ def check_closed_form(rec: Recorder, f: int, d: int) -> int:
             cases += 1
             if cycle_of(ideal).total != total_mult_formula(J1, J2, d, tuple(tags), f):
                 mismatches += 1
+    return cases, mismatches
+
+
+def check_closed_form(rec: Recorder, f: int, d: int) -> int:
+    """The closed-form total multiplicity at product degree d, over every
+    placement of the indices in J1, J2, or outside both with any type;
+    returns the number of configurations."""
+    cases, mismatches = _closed_form_counts(f, d)
     rec.add(
         "closed-form",
         "the closed-form total multiplicity matches the localization count",

@@ -32,9 +32,11 @@ SHARED_MEMOS = (
     "weightcalc.monomial._ideal_ijd",
     "weightcalc.monomial._ideal_a1",
     "weightcalc.cycles.cycle_of",
+    "weightcalc.homology.taylor._canonical_gens",
     "weightcalc.homology.taylor._ext_ranks",
     "weightcalc.homology.taylor._pattern_homology",
     "weightcalc.homology.resolution.module_resolution",
+    "weightcalc.suites._closed_form_counts",
 )
 # lru_caches that may grow without a bound, each with why that is safe
 UNBOUNDED_MEMOS = {

@@ -7,7 +7,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightcalc.homology.linalg import RowSpan, nullspace_mod, rank_mod, span_and_kernel
@@ -15,7 +15,6 @@ from weightcalc.homology.pbw import (
     PbwElement,
     key_char,
     key_degree,
-    multiply_keys,
 )
 from weightcalc.homology.taylor import (
     codim_of,
@@ -28,7 +27,7 @@ from weightcalc.homology.taylor import (
 )
 from weightcalc.homology import resolution as reso
 from weightcalc.homology import taylor
-from weightcalc.monomial import Monomial, MonomialIdeal, ideal_ijd
+from weightcalc.monomial import Monomial, MonomialIdeal, ideal_ijd, minimal_exponents
 
 
 def lifted(f: int, monos) -> tuple[tuple[int, ...], ...]:
@@ -308,6 +307,46 @@ def _type_monos(tags):
     return out
 
 
+def _act(gens, perm, flips, f: int) -> list[tuple[int, ...]]:
+    """Image of exponent vectors in 2f variables under the pair symmetry
+    that sends pair j = (y_j, z_j) to pair perm[j], swapping its two
+    variables where flips[j] is set."""
+    out = []
+    for g in gens:
+        new = [0] * (2 * f)
+        for j in range(f):
+            y, z = (g[f + j], g[j]) if flips[j] else (g[j], g[f + j])
+            new[perm[j]], new[f + perm[j]] = y, z
+        out.append(tuple(new))
+    return out
+
+
+def _pair_group(f: int):
+    """Every (perm, flips) element of the pair symmetry group."""
+    return [
+        (perm, flips)
+        for perm in itertools.permutations(range(f))
+        for flips in itertools.product((False, True), repeat=f)
+    ]
+
+
+@st.composite
+def _pair_ideals(draw):
+    """(f, generators, group element): a monomial ideal in 2f variables
+    that holds the product y_j z_j for some pairs only."""
+    f = draw(st.integers(1, 3))
+    nv = 2 * f
+    # small exponents make pairs with equal profiles, the ties to break
+    top = draw(st.integers(1, 2))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * nv), max_size=5))
+    for j in range(f):
+        if draw(st.booleans()):
+            gens.append(tuple(int(v in (j, f + j)) for v in range(nv)))
+    perm = tuple(draw(st.permutations(range(f))))
+    flips = tuple(draw(st.lists(st.booleans(), min_size=f, max_size=f)))
+    return f, gens, (perm, flips)
+
+
 class TestTaylorExt:
     def test_koszul_regular_sequence(self):
         for f in (1, 2):
@@ -501,6 +540,73 @@ class TestTaylorExt:
             assert s.nonzero_indices == (0,)
             assert s.degree_dims == ((0, ((0, 1),)),)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_ideals(), st.integers(0, 2), st.sampled_from([5, 29]))
+    def test_symmetric_ideals_share_exact_summaries(self, case, dmax, prime):
+        f, gens, g = case
+        nv = 2 * f
+        moved = _act(gens, *g, f)
+        # the memo holds I's class, and g.I is served from it
+        taylor_ext_ranks(gens, nv, dmax, prime)
+        got = taylor_ext_ranks(moved, nv, dmax, prime)
+        own = taylor._normalize_gens(moved, nv)
+        assert got == taylor._ext_ranks.__wrapped__(own, nv, dmax, prime)
+        assert got.gens == own
+
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_ideals())
+    # three pairs with one profile, told apart only by which two meet
+    @example((3, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)], ((2, 1, 0), (False,) * 3)))
+    # two pairs whose profiles equal their swaps: y0 y1, z0 z1 against
+    # z0 y1, y0 z1
+    @example((2, [(1, 1, 0, 0), (0, 0, 1, 1)], ((0, 1), (True, False))))
+    def test_canonical_form_is_an_image_shared_by_the_class(self, case):
+        f, gens, g = case
+        nv = 2 * f
+        canon = taylor._canonical_gens(taylor._normalize_gens(gens, nv), nv)
+        moved = taylor._normalize_gens(_act(gens, *g, f), nv)
+        assert taylor._canonical_gens(moved, nv) == canon
+        # some group element maps the ideal onto its canonical form
+        assert any(
+            taylor._normalize_gens(_act(gens, *h, f), nv) == canon
+            for h in _pair_group(f)
+        )
+
+    def test_f4_cm_suite_certifies_once_per_class(self, monkeypatch):
+        from weightcalc.cli import RunConfig, run
+
+        seen = set()
+        real = taylor.taylor_ext_ranks
+
+        def record(gens, nvars, dmax=0, prime=29):
+            seen.add((taylor._normalize_gens(gens, nvars), nvars, dmax, prime))
+            return real(gens, nvars, dmax, prime)
+
+        monkeypatch.setattr(taylor, "taylor_ext_ranks", record)
+        config = RunConfig(
+            f=4, p=61, j_rho=frozenset(), r=(13, 16, 19, 22), suites=("cm",)
+        )
+        taylor._ext_ranks.cache_clear()
+        try:
+            run(config)
+            misses = taylor._ext_ranks.cache_info().misses
+        finally:
+            taylor._ext_ranks.cache_clear()
+        # classes by brute force over the whole group, away from the memo
+        classes = {
+            (
+                min(
+                    minimal_exponents(_act(gens, *h, nv // 2))
+                    for h in _pair_group(nv // 2)
+                ),
+                nv,
+                dmax,
+                prime,
+            )
+            for gens, nv, dmax, prime in seen
+        }
+        assert misses <= len(classes) < len(seen)
+
 class TestCodim:
     def test_frozen_values(self):
         assert codim_of([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4) == 1
@@ -618,6 +724,23 @@ class TestFactorTables:
     def test_small_window_is_inconclusive(self):
         res = reso.tor_grlambda([("Z",)], dmax=2)
         assert res.inconclusive
+        assert res.reason.startswith("window 2 ")
+
+    def test_explicit_window_is_cut_from_the_memo(self, monkeypatch):
+        p = 29
+        resolve = reso.minimal_resolution
+        for f in (1, 2):
+            for tags in itertools.product(ALL_TAGS, repeat=f):
+                # every window up to 4f + 2 is served from the memo
+                reso.module_resolution(tags, False, p)
+                monkeypatch.setattr(reso, "minimal_resolution", None)
+                cut = [reso.tor_grlambda([tags], dmax, p) for dmax in range(4 * f + 3)]
+                monkeypatch.setattr(reso, "minimal_resolution", resolve)
+                gens = reso.module_generators(tags, False, p)
+                for dmax, res in enumerate(cut):
+                    table = resolve(gens, 2 * f, dmax, p, f).betti()
+                    assert res.tables == (table,), (tags, dmax)
+                    assert res.inconclusive == (dmax < 4 * f)
 
     def test_undeformed_tables_are_exterior_powers(self):
         for t in ALL_TAGS:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightcalc.monomial import (
-    GradedCharMultiset,
     Monomial,
     MonomialIdeal,
     a1_index_sets,
@@ -27,7 +26,6 @@ from weightcalc.monomial import (
 )
 from weightcalc.characters import diff_of_lambda
 from weightcalc.weights import (
-    LambdaTuple,
     Params,
     TTag,
     enumerate_p,

@@ -9,11 +9,6 @@ import pytest
 
 from weightcalc.monomial import ideal_a
 from weightcalc.repmodel import (
-    ChainVerdict,
-    LatticeState,
-    ParamSets,
-    SplitModel,
-    SubquotCheck,
     WeightTag,
     chain_model,
     hw_predicate,

@@ -13,7 +13,6 @@ from weightcalc.weights import (
     AFTER_POSITIVE,
     POSITIVE,
     GenericityError,
-    LambdaTuple,
     Params,
     TTag,
     bracket_s,
