@@ -4,21 +4,22 @@ The algebra is a tensor product, one factor per index, of F_p-algebras
 on y, z, h with zy = yz - h and h central.  Modules are cyclic left
 quotients presented by homogeneous generators.  A resolution is built
 one (internal degree, per-index character) slice at a time, by degree,
-then character, then homological level.  At each slice and level one
-tracked elimination adds the multiples of the next level's generators
-found in lower slices to an echelon span, and reads off the
-dependencies among them.  New generators of the next level are the
-kernel vectors of the level's map that this span does not reach.  The
-multiples, followed by the new generators, are the columns of the next
-level's map on the same slice; the new generators are independent of
-the multiples and of each other, so that map's kernel is exactly the
-dependencies, and only the first map is assembled and eliminated on its
-own.  That choice of generators makes every transition map vanish after
-applying F tensor (-), so the ranks are Betti numbers and the generator
-shifts read off Tor directly.  The exactness recheck rebuilds every
-slice map from the finished resolution on its own and ranks each slice
-once.  The suites share resolutions through a bounded memo, so one
-verify run resolves each module once.
+then character, then homological level, and the presentation is level 0
+of that loop.  At each slice and level one tracked elimination adds the
+multiples of the next level's generators found in lower slices to an
+echelon span, and reads off the dependencies among them.  The
+candidates this span does not reach become new generators of the next
+level: at level 0 the given generators of the slice's shift, above it
+the kernel vectors of the level's map.  The multiples, followed by the
+new generators, are the columns of the next level's map on the same
+slice; the new generators are independent of the multiples and of each
+other, so that map's kernel is exactly the dependencies.  That choice of
+generators makes every transition map vanish after applying F tensor
+(-), so the ranks are Betti numbers and the generator shifts read off
+Tor directly.  The exactness recheck rebuilds every slice map from the
+finished resolution on its own and ranks each slice once.  The suites
+share resolutions through a bounded memo, so one verify run resolves
+each module once.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from weightcalc.homology.linalg import (
-    Row,
-    RowSpan,
-    nullspace_mod,
-    rank_mod,
-    span_and_kernel,
-)
+from weightcalc.homology.linalg import Row, rank_mod, span_and_kernel
+
+# Unused here: bench/test_trace_counts.py checks that the benchmark's
+# tracer patches this copied binding, and moving it waits for a benchmark
+# change (ROADMAP open item 6).
+from weightcalc.homology.linalg import nullspace_mod  # noqa: F401
 from weightcalc.homology.pbw import PbwElement, multiply_keys
 
 CharVec = tuple[int, ...]
@@ -106,23 +106,6 @@ def _expand(
     }
 
 
-def vector_shift(vec: tuple[PbwElement, ...], shifts: tuple[Shift, ...]) -> Shift:
-    """Common (degree, character) of a homogeneous free-module element."""
-    found: Shift | None = None
-    for k, el in enumerate(vec):
-        if not el.terms:
-            continue
-        e, u = shifts[k]
-        cand = (el.degree + e, tuple(a + b for a, b in zip(el.char, u)))
-        if found is None:
-            found = cand
-        elif found != cand:
-            raise ValueError("inhomogeneous element")
-    if found is None:
-        raise ValueError("zero element has no shift")
-    return found
-
-
 def _row_to_vector(
     row: Row, basis: list[tuple[int, tuple]], nsummands: int, f: int, p: int
 ) -> tuple[PbwElement, ...]:
@@ -161,15 +144,6 @@ def _multiples(
             yield _image(m, vec, index, p)
 
 
-def _rows(cols: list[Row], nrows: int) -> list[Row]:
-    """Sparse rows of the matrix with the given sparse columns."""
-    rows: list[Row] = [{} for _ in range(nrows)]
-    for col, img in enumerate(cols):
-        for pos, c in img.items():
-            rows[pos][col] = c
-    return rows
-
-
 def _map_matrix(
     src_shifts: tuple[Shift, ...],
     vecs: tuple[tuple[PbwElement, ...], ...],
@@ -201,29 +175,29 @@ def _char_candidates(
 
 
 def _resolve_slices(
-    gens: list[PbwElement], top: int, dmax: int, f: int, p: int
+    given: dict[Shift, list[PbwElement]], top: int, dmax: int, f: int, p: int
 ) -> list[list[Generator]]:
-    """Generators of levels 1 to top, each level lowest degree first.
+    """Generators of levels 1 to top, each level lowest degree first,
+    for the presentation given as its generators grouped by shift.
 
     Slices are taken by degree, then character, and at each slice level
-    by level.  Step L keeps the kernel vectors of the level-L map that
-    the multiples of earlier level-(L+1) generators do not reach.  Those
-    multiples, followed by the kept remainders, are the columns of the
-    level-(L+1) map on the same slice; the remainders are independent of
-    the multiples and of each other, so that map's kernel is the
-    dependencies among the multiples, found by the same elimination.
-    Vectors have one component per generator found so far.
+    by level, from level 0, the algebra itself.  Step L keeps the
+    candidates that the multiples of earlier level-(L+1) generators do
+    not reach: at level 0 the given generators of the slice's shift,
+    kept as given, and above it the kernel vectors of the level-L map,
+    kept as their remainders.  Those multiples, followed by the kept
+    candidates, are the columns of the level-(L+1) map on the same
+    slice; the kept candidates are independent of the multiples and of
+    each other, so that map's kernel is the dependencies among the
+    multiples, found by the same elimination.  Vectors have one
+    component per generator found so far.
     """
-    base: tuple[Shift, ...] = ((0, (0,) * f),)
-    levels: list[list[Generator]] = [[(vector_shift((g,), base), (g,)) for g in gens]]
-    levels += [[] for _ in range(top - 1)]
+    levels: list[list[Generator]] = [[((0, (0,) * f), ())]]
+    levels += [[] for _ in range(top)]
     for deg in range(1, dmax + 1):
-        known = {sh for level in levels for sh, _ in level}
+        known = set(given).union(sh for level in levels[1:] for sh, _ in level)
         for w in _char_candidates(known, deg, f):
-            basis = _module_basis(base, deg, w, f)
-            index = {bm: i for i, bm in enumerate(basis)}
-            cols = list(_multiples(levels[0], deg, w, index, f, p))
-            ker = nullspace_mod(_rows(cols, len(basis)), len(cols), p)
+            ker: list[Row] | None = None
             for lower, upper in zip(levels, levels[1:]):
                 basis = _module_basis((sh for sh, _ in lower), deg, w, f)
                 if not basis:
@@ -234,40 +208,24 @@ def _resolve_slices(
                 span, next_ker = span_and_kernel(
                     list(_multiples(upper, deg, w, index, f, p)), p
                 )
-                old_rank = span.rank
-                fresh = [rem for rem in map(span.add, ker) if rem is not None]
-                # the old span sits inside the kernel, so the count must close up
-                if old_rank + len(fresh) != len(ker):
-                    raise AssertionError("span bookkeeping out of step with kernel")
-                for rem in fresh:
-                    vec = _row_to_vector(rem, basis, len(lower), f, p)
-                    upper.append(((deg, w), vec))
+                if ker is None:
+                    fresh = [
+                        (g,)
+                        for g in given.get((deg, w), ())
+                        if span.add(_expand((g,), index)) is not None
+                    ]
+                else:
+                    fresh = [
+                        _row_to_vector(rem, basis, len(lower), f, p)
+                        for rem in map(span.add, ker)
+                        if rem is not None
+                    ]
+                    # the old span sits inside the kernel, so the count must close up
+                    if span.rank != len(ker):
+                        raise AssertionError("span bookkeeping out of step with kernel")
+                upper.extend(((deg, w), vec) for vec in fresh)
                 ker = next_ker
-    return levels
-
-
-def minimalize_elements(
-    elems, f: int, p: int
-) -> list[PbwElement]:
-    """Minimal generating set of the left ideal spanned by elems."""
-    shifts: tuple[Shift, ...] = ((0, (0,) * f),)
-    items = []
-    for el in elems:
-        if not el.terms:
-            continue
-        items.append((vector_shift((el,), shifts), el))
-    items.sort(key=lambda t: (t[0], sorted(t[1].terms)))
-    kept: list[Generator] = []
-    out: list[PbwElement] = []
-    for (deg, w), group in itertools.groupby(items, key=lambda t: t[0]):
-        basis = _module_basis(shifts, deg, w, f)
-        index = {bm: i for i, bm in enumerate(basis)}
-        span = RowSpan(p, _multiples(kept, deg, w, index, f, p))
-        for _, el in group:
-            if span.add(_expand((el,), index)) is not None:
-                kept.append(((deg, w), (el,)))
-                out.append(el)
-    return out
+    return levels[1:]
 
 
 @dataclass(frozen=True)
@@ -347,21 +305,28 @@ class Resolution:
 def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution:
     """Minimal graded free resolution of the cyclic quotient by the left
     ideal the generators span, out to homological index imax and internal
-    degree dmax; only generators of degree at most dmax are kept, the
-    presentation's included.  One more level is resolved to tell whether
-    the resolution ends at imax within the window."""
-    gens = list(gens)
-    for g in gens:
-        if g.terms and g.degree == 0:
-            raise ValueError("unit ideal: zero module has no minimal resolution")
-    gens = minimalize_elements(gens, f, p)
-    next_empty: bool | None = None if gens else True
-    # a generator above dmax reaches no slice in the window
-    gens = [g for g in gens if g.degree <= dmax]
+    degree dmax.  The generators must belong to the algebra with f indices
+    over F_p.  The presentation is level 0 of the slice loop: a given
+    generator is kept as given unless the multiples of those kept before
+    it reach it, and only generators of degree at most dmax are found.
+    One more level is resolved to tell whether the resolution ends at
+    imax within the window."""
+    given: dict[Shift, list[PbwElement]] = {}
+    # the candidates of one shift are tried in the order of their sorted terms
+    for g in sorted(gens, key=lambda g: sorted(g.terms)):
+        if (g.f, g.p) != (f, p):
+            raise ValueError(
+                f"generator of the algebra with f={g.f}, p={g.p}, not f={f}, p={p}"
+            )
+        if g.terms:
+            if g.degree == 0:
+                raise ValueError("unit ideal: zero module has no minimal resolution")
+            given.setdefault((g.degree, g.char), []).append(g)
+    next_empty: bool | None = None if given else True
     shifts: list[tuple[Shift, ...]] = [((0, (0,) * f),)]
     maps: list[tuple[tuple[PbwElement, ...], ...]] = []
-    if gens and imax >= 1:
-        levels = _resolve_slices(gens, imax + 1, dmax, f, p)
+    if imax >= 1:
+        levels = _resolve_slices(given, imax + 1, dmax, f, p)
         for level in levels[:imax]:
             if not level:
                 break
@@ -375,8 +340,10 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
                     for _, vec in level
                 )
             )
-        # a kernel with no new generator in-window ends the resolution
-        next_empty = len(shifts) <= imax or not levels[imax]
+        # a kernel with no new generator in-window ends the resolution; a
+        # window below every generator of the presentation leaves it open
+        if levels[0]:
+            next_empty = len(shifts) <= imax or not levels[imax]
     return Resolution(
         f, p, dmax, tuple(shifts), tuple(maps), next_empty
     )
@@ -453,7 +420,7 @@ CUBE = 3
 
 # Per-factor generator patterns: Y and Z mark the surviving variable of
 # the degree-one pair; YZ keeps the product.  The generators need not be
-# minimal: `minimal_resolution` minimalizes them.
+# minimal: `minimal_resolution` keeps only those the others do not reach.
 def module_generators(tags, with_in: bool, p: int) -> list[PbwElement]:
     tags = tuple(tags)
     f = len(tags)

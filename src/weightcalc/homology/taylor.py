@@ -12,12 +12,9 @@ clamp cell.
 
 Activity patterns are int bitsets over the generator subsets (bit s for
 subset s), built from per-threshold masks.  Each pattern is an upper set
-of subsets, and its cohomology is ranked on whichever side of the subset
-lattice is smaller: for r >= 1 generators the full augmented simplex
-complex is exact, so the active subcomplex has the cohomology of the
-inactive quotient shifted up by one.  The result is a pure function of
-(pattern, r, prime) and is memoized once per process, so ideals across
-configurations share their rankings.
+of subsets, and its cohomology is ranked on that set directly.  The
+result is a pure function of (pattern, r, prime) and is memoized once
+per process, so ideals across configurations share their rankings.
 
 Each ideal's whole summary is memoized on a canonical form under the
 pair symmetries of the doubled ring: permuting the index pairs
@@ -219,18 +216,9 @@ def _level_homology(sets: int, r: int, prime: int) -> tuple[tuple[int, int], ...
 @lru_cache(maxsize=_MEMO_SIZE)
 def _pattern_homology(active: int, r: int, prime: int) -> tuple[tuple[int, int], ...]:
     """Nonzero cohomology dimensions of the dual complex on an active
-    upper set of generator subsets, given as a bitset.
-
-    Ranked on whichever side of the subset lattice is smaller.  For r >= 1
-    the full complex is exact, the active part is a subcomplex and the
-    inactive lower set the quotient, so H^k(active) = H^(k-1)(inactive).
-    At r = 0 the full complex is the single empty subset, which is not
-    exact, so the active side is ranked.  Memoized per process on the
-    pattern, r and the prime.
+    upper set of generator subsets, given as a bitset.  Memoized per
+    process on the pattern, r and the prime.
     """
-    inactive = ((1 << (1 << r)) - 1) ^ active
-    if r and inactive.bit_count() < active.bit_count():
-        return tuple((k + 1, h) for k, h in _level_homology(inactive, r, prime))
     return _level_homology(active, r, prime)
 
 

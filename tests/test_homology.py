@@ -499,22 +499,6 @@ class TestTaylorExt:
                 assert taylor._pattern_homology(active, r, 29) == (), (gens, depths)
 
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_smaller_side_matches_direct_ranking(self, data):
-        # an upper set of subsets of r generators: everything above a few
-        # random seeds (none gives the empty set, the empty seed all);
-        # small seeds with no common generator give nonzero cohomology
-        r = data.draw(st.integers(0, 6))
-        prime = data.draw(st.sampled_from([5, 29, LARGE_P]))
-        seed = st.lists(st.integers(0, r - 1), max_size=3) if r else st.just([])
-        seeds = [sum(1 << b for b in t) for t in data.draw(st.lists(seed, max_size=6))]
-        active = sum(
-            1 << s for s in range(1 << r) if any(s & t == t for t in seeds)
-        )
-        direct = taylor._level_homology(active, r, prime)
-        assert taylor._pattern_homology.__wrapped__(active, r, prime) == direct
-
     def test_pattern_memo_keys_on_the_prime(self, monkeypatch):
         # these +-1 complexes have the same ranks at every prime used here,
         # so a rank function that reads the prime shows what the key holds
@@ -531,7 +515,7 @@ class TestTaylorExt:
 
     def test_no_generators_keep_the_direct_side(self):
         # r = 0: the only subset is the empty one, and the complex on it is
-        # not exact, so there is no complement to rank
+        # not exact
         for prime in (5, 29, LARGE_P):
             assert taylor._pattern_homology(1, 0, prime) == ((0, 1),)
             assert taylor._pattern_homology(0, 0, prime) == ()
@@ -694,15 +678,62 @@ class TestModuleGenerators:
         res = reso.minimal_resolution(gens, 1, 3, 29, 1)
         assert sorted(res.shifts[1]) == [(2, (0,)), (2, (0,)), (3, (-3,)), (3, (3,))]
 
-    def test_minimalize_drops_multiples(self):
-        p = 29
+    def test_presentation_drops_multiples(self):
         elems = [_y(), _y(n=3), _h(), _z(n=3)]
-        kept = reso.minimalize_elements(elems, 1, p)
-        assert [(g.degree, g.char) for g in kept] == [
-            (1, (1,)),
-            (2, (0,)),
-            (3, (-3,)),
-        ]
+        res = reso.minimal_resolution(elems, 1, 3, 29, 1)
+        assert res.shifts[1] == ((1, (1,)), (2, (0,)), (3, (-3,)))
+        assert [vec[0] for vec in res.maps[0]] == [elems[0], elems[2], elems[3]]
+
+    def test_generator_of_another_algebra_rejected(self):
+        # built at p = 29 but resolved at p = 61
+        with pytest.raises(ValueError, match="p=29, not f=1, p=61"):
+            reso.minimal_resolution([_z() * _y()], 2, 6, 61, 1)
+        # one index where the algebra has two
+        with pytest.raises(ValueError, match="f=1, p=29, not f=2, p=29"):
+            reso.minimal_resolution([_y(), _y(f=2, j=1)], 2, 6, 29, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_redundant_generators_leave_the_resolution(self, data):
+        # a module's presentation plus duplicates, scalar multiples and
+        # left multiples by basis monomials of its generators, shuffled
+        p = 29
+        f = data.draw(st.integers(1, 2))
+        tags = tuple(data.draw(st.lists(st.sampled_from(ALL_TAGS), min_size=f, max_size=f)))
+        with_in = data.draw(st.booleans())
+        imax, dmax = (3, 8) if f == 1 else (2, data.draw(st.integers(2, 4)))
+        gens = reso.module_generators(tags, with_in, p)
+        local = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+        extra = st.one_of(
+            st.sampled_from(gens),
+            st.builds(PbwElement.scale, st.sampled_from(gens), st.integers(1, p - 1)),
+            st.builds(
+                lambda key, g: PbwElement.monomial(key, p) * g,
+                st.tuples(*[local] * f),
+                st.sampled_from(gens),
+            ),
+        )
+        elems = data.draw(st.permutations(gens + data.draw(st.lists(extra, max_size=4))))
+        res = reso.minimal_resolution(elems, imax, dmax, p, f)
+        assert reso.verify_resolution(res)
+        assert res.betti() == reso.minimal_resolution(gens, imax, dmax, p, f).betti()
+        kept = [vec[0] for vec in res.maps[0]]
+        assert all(any(g is e for e in elems) for g in kept)
+
+        # minimality, checked on the slices directly: every element in the
+        # window lies in the span of the multiples of the kept generators,
+        # and no kept generator in the span of the multiples of the others
+        def in_span(el, others):
+            deg, w = el.degree, el.char
+            basis = reso.slice_keys(f, deg, w)
+            index = {(0, key): i for i, key in enumerate(basis)}
+            found = [((g.degree, g.char), (g,)) for g in others]
+            rows = list(reso._multiples(found, deg, w, index, f, p))
+            row = {index[(0, key)]: c for key, c in el.terms.items()}
+            return rank_mod(rows + [row], p) == rank_mod(rows, p)
+
+        assert all(in_span(e, kept) for e in elems if e.degree <= dmax)
+        assert not any(in_span(g, kept[:k] + kept[k + 1 :]) for k, g in enumerate(kept))
 
     def test_unit_generator_rejected(self):
         with pytest.raises(ValueError):
