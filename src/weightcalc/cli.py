@@ -278,18 +278,19 @@ def _cmd_tor(args) -> int:
     gens = module_generators(tags, args.full, args.p)
     res = minimal_resolution(gens, imax, dmax, args.p, f)
     table = res.betti()
+    complete = res.complete(imax)
     doc = {
         "tags": list(tags),
         "cube_deformed": args.full,
         "rows": [[[e, list(c)] for e, c in row] for row in table.rows],
         "dims": list(table.dims()),
-        "complete": res.next_kernel_empty,
+        "complete": complete,
         "verified": verify_resolution(res),
     }
     lines = [f"tags = {tags}, cube-deformed = {args.full}"]
     for i, row in enumerate(table.rows):
         lines.append(f"  step {i}: " + ", ".join(f"({e}; {c})" for e, c in row))
-    lines.append(f"dims: {list(table.dims())}  complete: {res.next_kernel_empty}")
+    lines.append(f"dims: {list(table.dims())}  complete: {complete}")
     _emit(doc, "\n".join(lines), args.format)
     return 0
 
@@ -367,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="degree window; 'complete' means no further generator up to this degree",
+        help="degree window; 'complete' means no further generator up to this degree, "
+        "and is null for a finite quotient whose degree bound lies beyond the window",
     )
     p_tor.add_argument("--format", choices=("json", "text"), default="text")
     p_tor.set_defaults(fn=_cmd_tor)

@@ -16,15 +16,31 @@ slice; the new generators are independent of the multiples and of each
 other, so that map's kernel is exactly the dependencies.  That choice of
 generators makes every transition map vanish after applying F tensor
 (-), so the ranks are Betti numbers and the generator shifts read off
-Tor directly.  The exactness recheck rebuilds every slice map from the
-finished resolution on its own and ranks each slice once.  The suites
-share resolutions through a bounded memo, so one verify run resolves
-each module once.
+Tor directly.
+
+The algebra is U(g) for the Heisenberg Lie algebra g, so Tor_i(F, M) is
+the homology of the Chevalley-Eilenberg complex of g with coefficients
+in the module M (Chevalley & Eilenberg, Trans. AMS 63, 1948; Weibel, An
+Introduction to Homological Algebra, 7.7).  Its chain group at level i
+is the i-th exterior power of g tensor M, whose top degree D_i is
+2 min(i, f) + max(0, i - f) (y_j and z_j have degree 1, h_j degree 2),
+and which vanishes above i = 3f.  When M is finite with top degree t,
+every level-i generator therefore has degree at most t + D_i.  The
+level-0 ranks of the slice loop measure M degree by degree; once a
+degree comes out empty the loop knows t and stops each level at its
+bound, and `Resolution.complete` certifies a table only when the window
+reaches the bound of the level after the last.  The exactness recheck
+rebuilds every slice map from the finished resolution on its own and
+ranks each slice once, up to the whole window, so it confirms on its
+own every slice the loop skipped; it also rejects a non-minimal map.
+The suites share resolutions through a bounded memo, so one verify run
+resolves each module once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,11 +190,35 @@ def _char_candidates(
     return sorted(out)
 
 
+def _generator_bound(top_degree: int | None, i: int, f: int) -> float:
+    """Highest degree of a level-i generator for a quotient of the given
+    top degree: that degree plus the top degree of the i-th exterior
+    power of the Lie algebra, spanned by y_j and z_j in degree 1 and h_j
+    in degree 2, which vanishes above 3f.  Unbounded when the top degree
+    is not known (None)."""
+    if top_degree is None:
+        return math.inf
+    i = min(i, 3 * f)
+    return top_degree + 2 * min(i, f) + max(0, i - f)
+
+
+def _algebra_dim(f: int, d: int) -> int:
+    # monomials of degree d in the 2f variables y_j, z_j of degree 1 and
+    # the f variables h_j of degree 2
+    if f == 0:
+        return int(d == 0)
+    return sum(
+        math.comb(c + f - 1, c) * math.comb(d - 2 * c + 2 * f - 1, d - 2 * c)
+        for c in range(d // 2 + 1)
+    )
+
+
 def _resolve_slices(
     given: dict[Shift, list[PbwElement]], top: int, dmax: int, f: int, p: int
-) -> list[list[Generator]]:
+) -> tuple[list[list[Generator]], int | None]:
     """Generators of levels 1 to top, each level lowest degree first,
-    for the presentation given as its generators grouped by shift.
+    for the presentation given as its generators grouped by shift, and
+    the quotient's top degree once the window shows it finite.
 
     Slices are taken by degree, then character, and at each slice level
     by level, from level 0, the algebra itself.  Step L keeps the
@@ -191,14 +231,29 @@ def _resolve_slices(
     each other, so that map's kernel is the dependencies among the
     multiples, found by the same elimination.  Vectors have one
     component per generator found so far.
+
+    The level-0 ranks measure the quotient: the first degree d where
+    they fill the whole algebra gives its top degree t = d - 1.  From
+    then on a level-i generator has degree at most t + D_i (see the
+    module docstring), so step L runs only up to t + D_(L+2), the bound
+    of the level its kernel feeds, and the loop ends at t + D_top.  A
+    step entered without the kernel below it adds no generator.
     """
     levels: list[list[Generator]] = [[((0, (0,) * f), ())]]
     levels += [[] for _ in range(top)]
+    quotient_top: int | None = None
     for deg in range(1, dmax + 1):
+        if deg > _generator_bound(quotient_top, top, f):
+            break
+        quotient_dim = _algebra_dim(f, deg)
         known = set(given).union(sh for level in levels[1:] for sh, _ in level)
         for w in _char_candidates(known, deg, f):
             ker: list[Row] | None = None
-            for lower, upper in zip(levels, levels[1:]):
+            for step, (lower, upper) in enumerate(zip(levels, levels[1:])):
+                if deg > _generator_bound(quotient_top, step + 2, f):
+                    # the bound grows with the level, so the skipped steps
+                    # come first and leave ker None
+                    continue
                 basis = _module_basis((sh for sh, _ in lower), deg, w, f)
                 if not basis:
                     # a multiple of a higher generator would be a nonzero
@@ -208,12 +263,15 @@ def _resolve_slices(
                 span, next_ker = span_and_kernel(
                     list(_multiples(upper, deg, w, index, f, p)), p
                 )
-                if ker is None:
+                if step == 0:
                     fresh = [
                         (g,)
                         for g in given.get((deg, w), ())
                         if span.add(_expand((g,), index)) is not None
                     ]
+                    quotient_dim -= span.rank
+                elif ker is None:
+                    fresh = []
                 else:
                     fresh = [
                         _row_to_vector(rem, basis, len(lower), f, p)
@@ -225,7 +283,11 @@ def _resolve_slices(
                         raise AssertionError("span bookkeeping out of step with kernel")
                 upper.extend(((deg, w), vec) for vec in fresh)
                 ker = next_ker
-    return levels[1:]
+        # the algebra is generated in degree 1, so the quotient vanishes
+        # above its first empty degree
+        if quotient_top is None and quotient_dim == 0:
+            quotient_top = deg - 1
+    return levels[1:], quotient_top
 
 
 @dataclass(frozen=True)
@@ -297,9 +359,22 @@ class Resolution:
     shifts: tuple[tuple[Shift, ...], ...]
     maps: tuple[tuple[tuple[PbwElement, ...], ...], ...]
     next_kernel_empty: bool | None
+    # the quotient's top degree, when the window shows it finite
+    top_degree: int | None
 
     def betti(self) -> BettiTable:
         return BettiTable(self.f, tuple(tuple(sorted(s)) for s in self.shifts))
+
+    def complete(self, imax: int) -> bool | None:
+        """`next_kernel_empty` of a resolution out to index imax, when the
+        window certifies it: a quotient shown finite needs dmax at or above
+        the degree bound of level imax + 1, or the answer is None.  For a
+        quotient not shown finite, the in-window answer as it stands."""
+        if self.top_degree is None or self.dmax >= _generator_bound(
+            self.top_degree, imax + 1, self.f
+        ):
+            return self.next_kernel_empty
+        return None
 
 
 def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution:
@@ -310,7 +385,8 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
     generator is kept as given unless the multiples of those kept before
     it reach it, and only generators of degree at most dmax are found.
     One more level is resolved to tell whether the resolution ends at
-    imax within the window."""
+    imax within the window.  When the window shows the quotient finite,
+    its top degree is recorded and bounds the degrees resolved."""
     given: dict[Shift, list[PbwElement]] = {}
     # the candidates of one shift are tried in the order of their sorted terms
     for g in sorted(gens, key=lambda g: sorted(g.terms)):
@@ -325,8 +401,9 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
     next_empty: bool | None = None if given else True
     shifts: list[tuple[Shift, ...]] = [((0, (0,) * f),)]
     maps: list[tuple[tuple[PbwElement, ...], ...]] = []
+    top_degree = None
     if imax >= 1:
-        levels = _resolve_slices(given, imax + 1, dmax, f, p)
+        levels, top_degree = _resolve_slices(given, imax + 1, dmax, f, p)
         for level in levels[:imax]:
             if not level:
                 break
@@ -345,7 +422,7 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
         if levels[0]:
             next_empty = len(shifts) <= imax or not levels[imax]
     return Resolution(
-        f, p, dmax, tuple(shifts), tuple(maps), next_empty
+        f, p, dmax, tuple(shifts), tuple(maps), next_empty, top_degree
     )
 
 
@@ -370,13 +447,22 @@ def module_resolution(tags: tuple[str, ...], with_in: bool, p: int) -> Resolutio
 
 def verify_resolution(res: Resolution) -> bool:
     """Independent exactness recheck: every vector has one component per
-    target generator, consecutive maps compose to zero symbolically, and
+    target generator, no map has a nonzero component between generators
+    of equal shift, consecutive maps compose to zero symbolically, and
     slice ranks match kernel dimensions up to dmax."""
     f, p = res.f, res.p
     if len(res.maps) != len(res.shifts) - 1 or any(
         len(vecs) != len(res.shifts[i + 1])
         or any(len(vec) != len(res.shifts[i]) for vec in vecs)
         for i, vecs in enumerate(res.maps)
+    ):
+        return False
+    # minimal: no nonzero (scalar) component between generators of equal shift
+    if any(
+        c.terms and sh == target
+        for i, vecs in enumerate(res.maps)
+        for sh, vec in zip(res.shifts[i + 1], vecs)
+        for c, target in zip(vec, res.shifts[i])
     ):
         return False
     for i in range(1, len(res.maps)):

@@ -486,6 +486,23 @@ class TestSubcommands:
         assert doc["verified"] is True
 
     @pytest.mark.parametrize(
+        "argv, complete",
+        [
+            # the quotient's top degree is 4, and Chevalley-Eilenberg bounds
+            # every generator by 4 + 8
+            ("tor --tags Y,Z --full --max-degree 8", None),
+            ("tor --tags Y,Z --full --max-degree 12", True),
+            ("tor --tags Y,Z --full --max-degree 14", True),
+            ("tor --tags Y --full --max-degree 3", None),
+        ],
+    )
+    def test_tor_complete_only_past_the_degree_bound(self, capsys, argv, complete):
+        assert main(argv.split() + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["complete"] is complete
+        assert doc["verified"] is True
+
+    @pytest.mark.parametrize(
         "argv, dmax, dims",
         [
             ("tor --tags Y,Z --full --max-degree 2", 2, [1, 4, 1]),

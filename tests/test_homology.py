@@ -874,6 +874,71 @@ class TestTwoIndexResolutions:
         assert res.total_dims() == tuple(3 * math.comb(2, i) for i in range(3))
 
 
+# Tor of the trivial module A/(y, z) at f = 1 is the homology of the
+# three-dimensional Heisenberg algebra: y and z in H_1, y∧h and z∧h in
+# H_2, y∧z∧h in H_3, with (degree, y-minus-z weight) shifts.
+TRIVIAL_F1_ROWS = (
+    ((0, (0,)),),
+    ((1, (-1,)), (1, (1,))),
+    ((3, (-1,)), (3, (1,))),
+    ((4, (0,)),),
+)
+# dims at f = 1 and at f = 2, the homology of heis^2 (Kunneth of 1, 2, 2, 1)
+TRIVIAL_DIMS = {1: (1, 2, 2, 1), 2: (1, 4, 8, 10, 8, 4, 1)}
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_trivial_module_bound_is_tight(self, f):
+        # the top generator sits at degree 4f, the Chevalley-Eilenberg
+        # bound t + D_3f with t = 0
+        p = 29
+        gens = [g for j in range(f) for g in (_y(f, p, j), _z(f, p, j))]
+        res = reso.minimal_resolution(gens, 3 * f, 4 * f, p, f)
+        assert reso.verify_resolution(res)
+        assert res.top_degree == 0
+        assert res.complete(3 * f) is True
+        assert res.betti().dims() == TRIVIAL_DIMS[f]
+        if f == 1:
+            assert res.betti().rows == TRIVIAL_F1_ROWS
+        cut = reso.minimal_resolution(gens, 3 * f, 4 * f - 1, p, f)
+        assert cut.betti().dims() == res.betti().dims()[:-1]
+        assert cut.top_degree == 0
+        assert cut.complete(3 * f) is None
+
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_top_degree_of_tag_patterns(self, f):
+        # the cube-deformed quotient keeps z^k, y^k (k < 3) or both per
+        # index, so its top degree is 2f; the plain one is infinite.  Level
+        # 0 alone measures the quotient, so one level suffices, in a window
+        # that ends past degree 2f + 1, the first the deformed one lacks.
+        for tags in itertools.product(ALL_TAGS, repeat=f):
+            for with_in, top in ((True, 2 * f), (False, None)):
+                gens = reso.module_generators(tags, with_in, 29)
+                assert reso.minimal_resolution(gens, 1, 2 * f + 2, 29, f).top_degree == top
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(ALL_TAGS),
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.sampled_from([29, 61]),
+    )
+    def test_finite_presentations_recheck_past_the_bound(self, tag, a, b, p):
+        # modulo the central h the quotient is F[y, z] / (tag, y^a, z^b):
+        # z-powers below b, y-powers below a, or both
+        gens = reso.module_generators((tag,), False, p) + [_y(p=p, n=a), _z(p=p, n=b)]
+        top = {"Y": b - 1, "Z": a - 1, "YZ": max(a, b) - 1}[tag]
+        # top degrees of the exterior powers of span(y, z, h); level 4 is
+        # empty, so level 3 bounds every generator
+        wedge_top = (0, 2, 3, 4)
+        res = reso.minimal_resolution(gens, 3, top + wedge_top[3] + 2, p, 1)
+        assert res.top_degree == top
+        assert all(e <= top + wedge_top[i] for i, row in enumerate(res.shifts) for e, _ in row)
+        assert reso.verify_resolution(res)
+        assert res.complete(3) is True
+
+
 class TestVerification:
     def test_verify_accepts_computed(self):
         chk = reso.resolution_tables(("YZ",), True)
@@ -886,6 +951,18 @@ class TestVerification:
         bad_gen = (res.maps[0][0][0] + PbwElement.one(res.f, res.p),)
         bad_maps = ((bad_gen,) + res.maps[0][1:],) + res.maps[1:]
         broken = dataclasses.replace(res, maps=bad_maps)
+        assert not reso.verify_resolution(broken)
+
+    def test_verify_rejects_unit_component(self):
+        # add a split summand A(-3) -> A(-3) with identity map: the complex
+        # stays exact and composes to zero, but it is no longer minimal
+        res = reso.resolution_tables(("Y",), False).resolution
+        zero, one = PbwElement.zero(res.f, res.p), PbwElement.one(res.f, res.p)
+        shift = (3, (1,))
+        shifts = (res.shifts[0], res.shifts[1] + (shift,), res.shifts[2] + (shift,))
+        lower = res.maps[0] + ((zero,),)
+        upper = tuple(vec + (zero,) for vec in res.maps[1]) + ((zero, zero, one),)
+        broken = dataclasses.replace(res, shifts=shifts, maps=(lower, upper))
         assert not reso.verify_resolution(broken)
 
     @pytest.mark.parametrize("k", [0, 1])
