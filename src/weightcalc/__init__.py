@@ -3,12 +3,12 @@ module structures attached to them.
 
 Subpackages and modules:
 
-- weights: parameter tuples, membership tests, involutions, projections
+- weights: parameter tuples, membership tests, shifts and involutions
 - characters: difference exponents modulo p**f - 1 and collision scans
 - monomial: monomial ideals in the y_j z_j = 0 quotient ring
 - cycles: characteristic cycle vectors and multiplicity bookkeeping
 - homology: commutative and noncommutative homological engines
-- repmodel: parametrization sets, lattices and filtration models
+- repmodel: lattice states, split and filtration models
 - cli: command line entry point and the JSON verification report
 """
 

@@ -38,9 +38,6 @@ class DiffExponent:
         if self.formal is not None:
             object.__setattr__(self, "formal", tuple(int(v) for v in self.formal))
 
-    def shifted(self, delta: int) -> "DiffExponent":
-        return DiffExponent(self.value + delta, self.modulus)
-
     def __add__(self, other: "DiffExponent") -> "DiffExponent":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
@@ -64,13 +61,6 @@ def diff_of_lambda(lam: LambdaTuple, params: Params) -> DiffExponent:
     digits = lam.values(params)
     total = sum(d * params.p**j for j, d in enumerate(digits))
     return DiffExponent(total, params.q_minus_one, formal=digits)
-
-
-def alpha_diff(j: int, params: Params) -> DiffExponent:
-    """Difference exponent of the j-th elementary eigencharacter."""
-    if not 0 <= j < params.f:
-        raise ValueError(f"index {j} out of range")
-    return DiffExponent(2 * params.p**j, params.q_minus_one)
 
 
 def kvec_diff(kvec: tuple[int, ...], params: Params) -> int:
@@ -189,60 +179,3 @@ def expected_shift_hits(params: Params) -> set[tuple[tuple[int, ...], tuple[int,
             )
             out.add((lam.entries, mu.entries, ivec))
     return out
-
-
-@dataclass(frozen=True)
-class LayeredCharSet:
-    """Socle-layer characters of the two-parameter principal family.
-
-    Layer d collects the base character multiplied by a product of d
-    elementary characters: inverses indexed by the first set, plain
-    ones by the second.  k-vectors record the formal exponents; values
-    are residues mod p**f - 1.
-    """
-
-    base: DiffExponent
-    layers: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-    k1_fixed: bool
-
-    @property
-    def total_size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    def all_values(self) -> list[int]:
-        return [value for layer in self.layers for _, value in layer]
-
-    def pairwise_distinct(self) -> bool:
-        vals = self.all_values()
-        return len(vals) == len(set(vals))
-
-
-def w_layers(
-    base: DiffExponent,
-    J1: frozenset[int] | set[int],
-    J2: frozenset[int] | set[int],
-    params: Params,
-) -> LayeredCharSet:
-    J1, J2 = frozenset(J1), frozenset(J2)
-    if J1 & J2:
-        raise ValueError("index sets must be disjoint")
-    for j in J1 | J2:
-        if not 0 <= j < params.f:
-            raise ValueError(f"index {j} out of range")
-    n = len(J1) + len(J2)
-    layers: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
-    for sub1 in subsets(J1):
-        for sub2 in subsets(J2):
-            kvec = tuple(
-                -1 if j in sub1 else (1 if j in sub2 else 0) for j in range(params.f)
-            )
-            value = (base.value + kvec_diff(kvec, params)) % params.q_minus_one
-            layers[len(sub1) + len(sub2)].append((kvec, value))
-    return LayeredCharSet(
-        base=base,
-        layers=tuple(tuple(sorted(layer)) for layer in layers),
-        k1_fixed=not J2,
-    )

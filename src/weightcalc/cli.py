@@ -274,7 +274,10 @@ def _cmd_tor(args) -> int:
     imax = (3 if args.full else 2) * f
     dmax = args.max_degree
     if dmax is None:
-        dmax = 3 * imax + 1 if args.full else 2 * imax + 2
+        # the cube-deformed quotients end in degree t = 2f, and every
+        # generator lies at or below t + 4f (`Resolution.complete`); a
+        # larger t leaves `complete` null rather than cutting the table
+        dmax = 6 * f if args.full else 2 * imax + 2
     gens = module_generators(tags, args.full, args.p)
     res = minimal_resolution(gens, imax, dmax, args.p, f)
     table = res.betti()

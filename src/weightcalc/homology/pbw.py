@@ -95,10 +95,6 @@ class PbwElement:
         return cls(f, p, {((0, 0, 0),) * f: 1})
 
     @classmethod
-    def monomial(cls, key: MonoKey, p: int, coeff: int = 1) -> "PbwElement":
-        return cls(len(key), p, {tuple(key): coeff})
-
-    @classmethod
     def gen_y(cls, j: int, f: int, p: int, n: int = 1) -> "PbwElement":
         key = tuple((n, 0, 0) if i == j else (0, 0, 0) for i in range(f))
         return cls(f, p, {key: 1})

@@ -37,8 +37,8 @@ from weightcalc.monomial import minimal_exponents
 
 GEN_CAP = 12
 GRID_CAP = 50_000
-# distinct inputs kept by each memo; `grid` needs 378 canonical forms,
-# 42 Ext summaries and 100 (pattern, r, prime) rankings
+# distinct inputs kept by each memo; `grid` needs 189 canonical forms,
+# 42 Ext summaries, 21 heights and 100 (pattern, r, prime) rankings
 _MEMO_SIZE = 4096
 
 
@@ -118,28 +118,12 @@ class ExtSummary:
         """Least nonvanishing index; None when everything vanishes."""
         return self.nonzero_indices[0] if self.nonzero_indices else None
 
-    def dims_for(self, i: int) -> dict[int, int]:
-        for idx, pairs in self.degree_dims:
-            if idx == i:
-                return dict(pairs)
-        return {}
-
 
 def _monomial_count(deg: int, nvars: int) -> int:
     """Number of monomials of degree deg in nvars variables."""
     if deg < 0:
         return 0
     return math.comb(deg + nvars - 1, nvars - 1) if nvars else int(deg == 0)
-
-
-def _subset_lcms(
-    gens: tuple[tuple[int, ...], ...], nvars: int
-) -> list[tuple[int, ...]]:
-    """lcm exponents of every generator subset, indexed by subset bitmask."""
-    lcms = [(0,) * nvars]
-    for g in gens:
-        lcms += [tuple(map(max, row, g)) for row in lcms]
-    return lcms
 
 
 def _subset_masks(gens, nvars: int) -> tuple[int, list[int], list[list[int]]]:
@@ -320,8 +304,15 @@ def _ext_ranks(
 def codim_of(gens, nvars: int) -> int | None:
     """Height of a monomial ideal: smallest variable set meeting every
     generator.  None for the unit ideal (by convention undefined here),
-    0 for the zero ideal."""
+    0 for the zero ideal.  Computed once per process for each canonical
+    form (`_canonical_gens`): the pair symmetries permute the variables,
+    which keeps the height."""
     gens = _normalize_gens(gens, nvars)
+    return _codim(_canonical_gens(gens, nvars), nvars)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _codim(gens: tuple[tuple[int, ...], ...], nvars: int) -> int | None:
     if any(sum(g) == 0 for g in gens):
         return None
     support = sorted({v for g in gens for v in range(nvars) if g[v]})
@@ -354,85 +345,6 @@ def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
     cd = codim_of(gens, nvars)
     verdict = ext.nonzero_indices == (cd,)
     return CmVerdict(verdict, ext.grade, cd, False, False, ext)
-
-
-def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
-    """Independent validation of the Taylor machinery itself.
-
-    The primal complex must be exact in positive homological degrees at
-    every clamp cell, with bottom homology of dimension 1 exactly off
-    the ideal.
-    """
-    gens = _normalize_gens(gens, nvars)
-    if any(sum(g) == 0 for g in gens):
-        return True
-    r = len(gens)
-    if r > GEN_CAP:
-        raise ValueError("too many generators for the primal check")
-    maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
-    full, _, reach = _subset_masks(gens, nvars)
-    for top in itertools.product(*(range(m + 1) for m in maxexp)):
-        # subsets whose lcm is at most top: those exceeding it nowhere
-        above = 0
-        for masks, t in zip(reach, top):
-            above |= masks[t + 1]
-        active = full ^ above
-        in_ideal = any(all(g[v] <= top[v] for v in range(nvars)) for g in gens)
-        # the primal maps are the transposes of the dual ones, so the
-        # same ranks give the homology; ranked directly on the lower set
-        if _level_homology(active, r, prime) != (() if in_ideal else ((0, 1),)):
-            return False
-    return True
-
-
-def _euler(sizes: list[int], nvars: int, deg: int) -> int:
-    """Inclusion-exclusion over generator subsets: the alternating sum,
-    by subset size, of the ring's dimension in degree deg - sizes[s],
-    where sizes[s] is the shift of subset s (|lcm| in the primal)."""
-    return sum(
-        (-1) ** s.bit_count() * _monomial_count(deg - size, nvars)
-        for s, size in enumerate(sizes)
-    )
-
-
-def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
-    """Inclusion-exclusion Hilbert function against a direct monomial
-    count, per degree up to degmax."""
-    gens = _normalize_gens(gens, nvars)
-    sizes = [sum(row) for row in _subset_lcms(gens, nvars)]
-    for deg in range(degmax + 1):
-        euler = _euler(sizes, nvars, deg)
-        direct = 0
-        for mono in itertools.combinations_with_replacement(range(nvars), deg):
-            exp = [0] * nvars
-            for v in mono:
-                exp[v] += 1
-            if not any(all(g[v] <= exp[v] for v in range(nvars)) for g in gens):
-                direct += 1
-        if euler != direct:
-            return False
-    return True
-
-
-def ext_euler_check(summary: ExtSummary, dmax: int = 0) -> bool:
-    """Alternating Ext dimensions against the dual inclusion-exclusion
-    closed form, per degree."""
-    if summary.zero_module or summary.inconclusive:
-        raise ValueError("needs a conclusive nonzero summary")
-    nvars = summary.nvars
-    gens = summary.gens
-    # the dual complex shifts by +|lcm| where the primal shifts by -|lcm|
-    shifts = [-sum(row) for row in _subset_lcms(gens, nvars)]
-    dmin = -sum(max(g[v] for g in gens) for v in range(nvars)) if gens else 0
-    for deg in range(dmin, dmax + 1):
-        euler = _euler(shifts, nvars, deg)
-        from_ext = 0
-        for i, pairs in summary.degree_dims:
-            d = dict(pairs).get(deg, 0)
-            from_ext += -d if i % 2 else d
-        if euler != from_ext:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

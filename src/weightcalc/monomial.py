@@ -146,10 +146,6 @@ def unit_ideal(f: int) -> MonomialIdeal:
     return MonomialIdeal(f, (Monomial.one(f),))
 
 
-def zero_ideal(f: int) -> MonomialIdeal:
-    return MonomialIdeal(f, ())
-
-
 def type_ideal(tags) -> MonomialIdeal:
     """The ideal of a per-index type pattern.
 
@@ -309,19 +305,6 @@ def hilbert_function(ideal: MonomialIdeal, dmax: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def hilbert_function_pair(
-    big: MonomialIdeal, small: MonomialIdeal, dmax: int
-) -> tuple[int, ...]:
-    """Dimensions of big/small in degrees 0..dmax; requires small <= big."""
-    if not big.contains_ideal(small):
-        raise ValueError("ideals are not nested")
-    dims = [0] * (dmax + 1)
-    for m in map(Monomial, signed_vectors(big.f, dmax)):
-        if big.contains(m) and not small.contains(m):
-            dims[m.degree] += 1
-    return tuple(dims)
-
-
 def total_dimension(ideal: MonomialIdeal) -> int:
     """Dimension of a finite quotient."""
     return len(standard_monomials(ideal))
@@ -339,12 +322,6 @@ class GradedCharMultiset:
     base_value: int
     modulus: int
     degrees: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-
-    def values_at(self, d: int) -> list[int]:
-        return [value for _, value in self.degrees[d]]
-
-    def all_values(self) -> list[int]:
-        return [v for d in range(len(self.degrees)) for v in self.values_at(d)]
 
 
 def graded_characters(

@@ -1,9 +1,9 @@
 """Prediction layer on top of the tuple combinatorics.
 
-Everything here is bookkeeping with tags and subsets: weights are
-carried as index sets (never as vector spaces), lattice states collect
-the data predicted for a given threshold, and the split and chain
-models assemble the corresponding direct-sum and filtration pictures.
+Everything here is bookkeeping with tuples and index sets (never
+vector spaces): lattice states collect the data predicted for a given
+threshold, and the split and chain models assemble the corresponding
+direct-sum and filtration pictures.
 The heavy lifting (tuple families, characters, ideals) lives in the
 sibling modules; this one only combines them and checks identities.
 """
@@ -16,155 +16,7 @@ from dataclasses import dataclass
 
 from weightcalc.characters import diff_of_lambda, kvec_diff
 from weightcalc.monomial import Monomial, MonomialIdeal, ideal_a, ideal_a1
-from weightcalc.weights import (
-    S_PM2,
-    S_PM3,
-    S_X,
-    S_X1,
-    LambdaTuple,
-    Params,
-    TTag,
-    enumerate_p,
-    enumerate_pss,
-    j_set,
-    t_type,
-)
-
-# Symbols whose indices belong to the large-family parameter subset.
-_XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
-# Symbols that always contribute to the restricted-family subset.
-_X_SYMBOLS = frozenset({S_X, S_PM3, S_PM2})
-
-
-@dataclass(frozen=True)
-class WeightTag:
-    """A weight named by bookkeeping data instead of a representation.
-
-    Two parametrizations coexist.  A subset `j` names a member of the
-    diagonal-family lattice directly.  A pair (`base`, `s`) names a
-    constituent of the induction from the character with difference
-    residue `base`; those tags satisfy the complement rule: conjugating
-    the inducing character complements the subset.
-    """
-
-    f: int
-    j: frozenset[int] | None = None
-    base: int | None = None
-    s: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.j is None) == (self.s is None):
-            raise ValueError("exactly one of j and s must be given")
-        if self.s is not None and self.base is None:
-            raise ValueError("an S-parametrized tag needs its base residue")
-        if self.j is not None and self.base is not None:
-            raise ValueError("a J-parametrized tag carries no base residue")
-        for name in ("j", "s"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            val = frozenset(val)
-            object.__setattr__(self, name, val)
-            if not val <= frozenset(range(self.f)):
-                raise ValueError(f"{name}={sorted(val)} not a subset of 0..{self.f - 1}")
-
-    @property
-    def length(self) -> int:
-        if self.j is None:
-            raise ValueError("length is defined for J-parametrized tags")
-        return len(self.j)
-
-    def conjugate(self, modulus: int) -> "WeightTag":
-        """The same weight seen inside the conjugate induction."""
-        if self.s is None:
-            raise ValueError("conjugation acts on S-parametrized tags")
-        return WeightTag(
-            self.f,
-            base=(-self.base) % modulus,
-            s=frozenset(range(self.f)) - self.s,
-        )
-
-
-def _tag_key(tag: WeightTag) -> tuple[int, tuple[int, ...]]:
-    subset = tag.j if tag.j is not None else tag.s
-    return (len(subset), tuple(sorted(subset)))
-
-
-@dataclass(frozen=True)
-class ParamSets:
-    """The index subsets attached to one tuple.
-
-    `xss` is defined for every member of the full family; the other
-    three require membership in the restricted family and are None
-    otherwise.
-    """
-
-    xss: frozenset[int]
-    x: frozenset[int] | None
-    y: frozenset[int] | None
-    z: frozenset[int] | None
-
-
-def param_sets(lam: LambdaTuple, params: Params) -> ParamSets:
-    if not lam.in_pss():
-        raise ValueError(f"{lam} does not satisfy the adjacency conditions")
-    ent = lam.entries
-    xss = frozenset(j for j, s in enumerate(ent) if s in _XSS_SYMBOLS)
-    if not lam.in_p(params.j_rho):
-        return ParamSets(xss, None, None, None)
-    x = frozenset(
-        j
-        for j, s in enumerate(ent)
-        if s in _X_SYMBOLS or (s == S_X1 and j in params.j_rho)
-    )
-    tags = t_type(lam, params)
-    y = frozenset(j for j, t in enumerate(tags) if t is not TTag.Y)
-    z = frozenset(j for j, t in enumerate(tags) if t is not TTag.Z)
-    return ParamSets(xss, x, y, z)
-
-
-def jh_I_sigma_tau(
-    j_sigma: frozenset[int] | set[int],
-    j_tau: frozenset[int] | set[int],
-    f: int,
-) -> tuple[WeightTag, ...]:
-    """All lattice tags between two nested subsets, smallest first."""
-    j_sigma, j_tau = frozenset(j_sigma), frozenset(j_tau)
-    if not j_tau <= frozenset(range(f)):
-        raise ValueError(f"{sorted(j_tau)} not a subset of 0..{f - 1}")
-    if not j_sigma <= j_tau:
-        raise ValueError("index sets are not nested")
-    free = sorted(j_tau - j_sigma)
-    tags = []
-    for k in range(len(free) + 1):
-        for extra in itertools.combinations(free, k):
-            tags.append(WeightTag(f, j=j_sigma | frozenset(extra)))
-    return tuple(sorted(tags, key=_tag_key))
-
-
-def hw_predicate(
-    s_sigma: frozenset[int] | set[int],
-    s_tau: frozenset[int] | set[int],
-    J1: frozenset[int] | set[int],
-    J2: frozenset[int] | set[int],
-) -> bool:
-    """Whether the first tag can sit under the second across the step."""
-    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
-    J1, J2 = frozenset(J1), frozenset(J2)
-    if J1 & J2:
-        raise ValueError("index sets must be disjoint")
-    return not (s_sigma & J1) and (s_sigma | J1) <= (s_tau | J2)
-
-
-def k1_predicate(
-    s_sigma: frozenset[int] | set[int],
-    s_tau: frozenset[int] | set[int],
-    J2: frozenset[int] | set[int],
-) -> bool:
-    """Whether the pairing survives the first congruence level."""
-    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
-    J2 = frozenset(J2)
-    return J2 <= s_sigma and not (s_tau & J2)
+from weightcalc.weights import LambdaTuple, Params, enumerate_p, enumerate_pss, j_set
 
 
 def _p_layer(params: Params, ell: int) -> tuple[LambdaTuple, ...]:
@@ -185,11 +37,8 @@ class LatticeState:
 
     i0: int
     characters: tuple[LambdaTuple, ...]
-    socle: tuple[WeightTag, ...]
-    k1_layers: tuple[tuple[WeightTag, ...], ...]
     functor_dim: int
     forbidden: tuple[LambdaTuple, ...]
-    ideals: tuple[tuple[LambdaTuple, MonomialIdeal], ...]
 
 
 def nonsplit_lattice(i0: int, params: Params) -> LatticeState:
@@ -199,31 +48,16 @@ def nonsplit_lattice(i0: int, params: Params) -> LatticeState:
     chars = tuple(
         lam for lam in enumerate_p(params) if len(j_set(lam)) <= i0
     )
-    marked = sorted(params.j_rho)
-    layers = []
-    for i in range(i0 + 1):
-        layer = [
-            WeightTag(f, j=frozenset(sub))
-            for sub in itertools.combinations(marked, i)
-        ]
-        layers.append(tuple(sorted(layer, key=_tag_key)))
-    socle = tuple(tag for layer in layers for tag in layer)
     forbidden = tuple(
         lam
         for lam in enumerate_pss(params)
         if not lam.in_p(params.j_rho) and len(j_set(lam)) == i0 + 1
     )
-    ideals = tuple(
-        (lam, ideal_a1(lam, i0, params)) for lam in enumerate_p(params)
-    )
     return LatticeState(
         i0=i0,
         characters=chars,
-        socle=socle,
-        k1_layers=tuple(layers),
         functor_dim=sum(math.comb(f, i) for i in range(i0 + 1)),
         forbidden=forbidden,
-        ideals=ideals,
     )
 
 

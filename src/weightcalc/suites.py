@@ -311,16 +311,23 @@ def check_pure_patterns(rec: Recorder, f: int, p: int) -> None:
     )
 
 
-def check_shellability(rec: Recorder, f: int, d: int) -> None:
-    """Shelling of the degree-d product complex for all 2**f partitions."""
-    ok = all(
+# Like `_closed_form_counts`, the verdict reads only (f, d); the oracle
+# `shellability_check` itself stays uncached.
+@lru_cache(maxsize=64)
+def _shellable(f: int, d: int) -> bool:
+    """Whether the offender-count order shells all 2**f partitions."""
+    return all(
         shellability_check(J1, frozenset(range(f)) - J1, d, f).shellable
         for J1 in subsets(range(f))
     )
+
+
+def check_shellability(rec: Recorder, f: int, d: int) -> None:
+    """Shelling of the degree-d product complex for all 2**f partitions."""
     rec.add(
         "shellability",
         "the offender-count facet order shells every product complex",
-        ok,
+        _shellable(f, d),
         f"d = {d}: {2**f} partitions",
     )
 

@@ -148,9 +148,6 @@ class LambdaTuple:
     def f(self) -> int:
         return len(self.entries)
 
-    def symbol(self, j: int) -> str:
-        return SYMBOLS[self.entries[j]]
-
     def symbols(self) -> tuple[str, ...]:
         return tuple(SYMBOLS[s] for s in self.entries)
 
@@ -324,18 +321,6 @@ def shift_by_s(lam: LambdaTuple, shift_set: frozenset[int] | set[int], params: P
     return out
 
 
-def delta_shift(lam: LambdaTuple) -> LambdaTuple:
-    """Cyclic index rotation: entry j of the result is entry j+1 of lam."""
-    ent = lam.entries
-    f = len(ent)
-    return LambdaTuple(tuple(ent[(j + 1) % f] for j in range(f)))
-
-
-def bracket_s(lam: LambdaTuple) -> LambdaTuple:
-    """Apply v -> p-1-v to every entry: symbol code s maps to 5-s."""
-    return LambdaTuple(tuple(5 - s for s in lam.entries))
-
-
 def _star_entries(entries: tuple[int, ...], j_rho: frozenset[int]) -> tuple[int, ...]:
     # Marked index: rotate the symbol by three (x <-> p-3-x, x+1 <-> p-2-x,
     # x+2 <-> p-1-x).  Unmarked index: reflect (x <-> p-1-x, x+1 <-> p-2-x).
@@ -398,69 +383,6 @@ def star_involution(lam: LambdaTuple, params: Params) -> LambdaTuple:
         raise ValueError(f"{lam} is not in the restricted parameter family")
     _check_star_contract(params.f, params.j_rho)
     return LambdaTuple(_star_entries(lam.entries, params.j_rho))
-
-
-def pss_to_p_projection(
-    lam: LambdaTuple, params: Params
-) -> tuple[LambdaTuple, frozenset[int], frozenset[int]]:
-    """Project a full-family tuple onto the restricted family.
-
-    Offending entries sit at unmarked indices: p-3-x goes back up to
-    p-1-x (collected in the first returned index set) and x+2 goes back
-    down to x (second set).  The projection is the identity on members
-    of the restricted family.
-    """
-    if not lam.in_pss():
-        raise ValueError(f"{lam} does not satisfy the adjacency conditions")
-    down = frozenset(
-        j for j, s in enumerate(lam.entries) if s == S_PM3 and j not in params.j_rho
-    )
-    up = frozenset(
-        j for j, s in enumerate(lam.entries) if s == S_X2 and j not in params.j_rho
-    )
-    new = list(lam.entries)
-    for j in down:
-        new[j] = S_PM1
-    for j in up:
-        new[j] = S_X
-    mu = LambdaTuple(tuple(new))
-    if not mu.in_p(params.j_rho):
-        raise AssertionError("projection left the restricted family")  # pragma: no cover
-    return mu, down, up
-
-
-def jset_raise(
-    lam: LambdaTuple,
-    down: frozenset[int] | set[int],
-    up: frozenset[int] | set[int],
-    params: Params,
-) -> LambdaTuple:
-    """Inverse direction of the projection: spend idle indices.
-
-    Moves p-1-x down to p-3-x on `down` and x up to x+2 on `up`; both
-    sets must consist of unmarked indices currently carrying the
-    respective symbol.  The result satisfies the adjacency conditions
-    but leaves the restricted family as soon as one index is moved.
-    """
-    down = frozenset(down)
-    up = frozenset(up)
-    if down & up:
-        raise ValueError("down and up sets overlap")
-    for j in down:
-        if j in params.j_rho or lam.entries[j] != S_PM1:
-            raise ValueError(f"index {j} does not carry p-1-x at an unmarked index")
-    for j in up:
-        if j in params.j_rho or lam.entries[j] != S_X:
-            raise ValueError(f"index {j} does not carry x at an unmarked index")
-    new = list(lam.entries)
-    for j in down:
-        new[j] = S_PM3
-    for j in up:
-        new[j] = S_X2
-    out = LambdaTuple(tuple(new))
-    if not out.in_pss():
-        raise AssertionError("raise left the adjacency conditions")  # pragma: no cover
-    return out
 
 
 def transfer_matrix_count(f: int) -> int:

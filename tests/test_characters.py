@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +11,11 @@ from hypothesis import strategies as st
 from weightcalc.characters import (
     CollisionHit,
     DiffExponent,
-    alpha_diff,
     collision_scan,
     diff_of_lambda,
     digit_unique,
     expected_shift_hits,
     kvec_diff,
-    w_layers,
 )
 from weightcalc.weights import (
     GenericityError,
@@ -58,9 +55,10 @@ class TestDiffExponent:
         assert got.formal == (15, 12)
 
     def test_alpha(self):
+        # the elementary eigencharacter alpha_j has difference 2 p**j
         pm = mk(2)
-        assert alpha_diff(0, pm).value == 2
-        assert alpha_diff(1, pm).value == 58
+        assert kvec_diff((1, 0), pm) == 2
+        assert kvec_diff((0, 1), pm) == 58
         assert kvec_diff((1, -1), pm) == (2 - 58) % pm.q_minus_one
 
 
@@ -184,48 +182,3 @@ class TestCollisionScan:
         assert not bad.classified(pm)  # -1 needs a Y index
         far = CollisionHit(lam, from_symbols("x+2"), (2,))
         assert not far.classified(pm)
-
-
-class TestWLayers:
-    def base(self, pm):
-        return diff_of_lambda(from_symbols(*["x"] * pm.f), pm)
-
-    def test_sizes(self):
-        pm = mk(3, {0, 1, 2})
-        for J1, J2 in [({0}, {1}), ({0, 2}, set()), (set(), {0, 1, 2})]:
-            ls = w_layers(self.base(pm), J1, J2, pm)
-            assert ls.total_size == 2 ** (len(J1) + len(J2))
-            expect = tuple(
-                sum(comb(len(J1), a) * comb(len(J2), d - a) for a in range(0, d + 1))
-                for d in range(len(J1) + len(J2) + 1)
-            )
-            assert ls.layer_sizes() == expect
-
-    def test_k1_flag(self):
-        pm = mk(2)
-        assert w_layers(self.base(pm), {0, 1}, set(), pm).k1_fixed
-        assert not w_layers(self.base(pm), {0}, {1}, pm).k1_fixed
-
-    def test_layer_contents(self):
-        pm = mk(2)
-        base = self.base(pm)
-        ls = w_layers(base, {0}, {1}, pm)
-        assert ls.layers[0] == (((0, 0), base.value),)
-        got = {kv for kv, _ in ls.layers[1]}
-        assert got == {(-1, 0), (0, 1)}
-        assert ls.layers[2] == (
-            ((-1, 1), (base.value - 2 + 2 * 29) % pm.q_minus_one),
-        )
-
-    def test_distinct_under_genericity(self):
-        pm = mk(4, range(4))
-        for lam in enumerate_p(pm)[:8]:
-            ls = w_layers(diff_of_lambda(lam, pm), {0, 2}, {1, 3}, pm)
-            assert ls.pairwise_distinct()
-
-    def test_rejects_bad_sets(self):
-        pm = mk(2)
-        with pytest.raises(ValueError):
-            w_layers(self.base(pm), {0}, {0}, pm)
-        with pytest.raises(ValueError):
-            w_layers(self.base(pm), {5}, set(), pm)

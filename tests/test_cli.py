@@ -24,6 +24,8 @@ from weightcalc import cli
 from weightcalc.cli import ConfigError, RunConfig, SUITES, main, run
 from weightcalc.weights import SYMBOLS
 
+import reference
+
 
 # the memos that configs share within one process
 SHARED_MEMOS = (
@@ -35,8 +37,10 @@ SHARED_MEMOS = (
     "weightcalc.homology.taylor._canonical_gens",
     "weightcalc.homology.taylor._ext_ranks",
     "weightcalc.homology.taylor._pattern_homology",
+    "weightcalc.homology.taylor._codim",
     "weightcalc.homology.resolution.module_resolution",
     "weightcalc.suites._closed_form_counts",
+    "weightcalc.suites._shellable",
 )
 # lru_caches that may grow without a bound, each with why that is safe
 UNBOUNDED_MEMOS = {
@@ -85,9 +89,9 @@ def test_oracles_read_no_memo():
         memo.cache_clear()
     assert cycle_of_subquotient(big, small).total == 2
     assert len(_bottom_by_scan(big, small)) == 2
-    assert taylor.taylor_primal_check(gens, 4)
-    assert taylor.hilbert_euler_check(gens, 4, 3)
-    assert taylor.ext_euler_check(summary, 3)
+    assert reference.taylor_primal_check(gens, 4)
+    assert reference.hilbert_euler_check(gens, 4, 3)
+    assert reference.ext_euler_check(summary, 3)
     assert total_mult_formula({0}, {1}, 1, (TTag.YZ, TTag.YZ), 2) == 1
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
@@ -501,6 +505,21 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["complete"] is complete
         assert doc["verified"] is True
+
+    def test_tor_full_default_window_ends_at_the_degree_bound(self, capsys, monkeypatch):
+        resolve = cli.minimal_resolution
+        windows = []
+
+        def recorded(gens, imax, dmax, p, f):
+            windows.append((imax, dmax))
+            return resolve(gens, imax, dmax, p, f)
+
+        monkeypatch.setattr(cli, "minimal_resolution", recorded)
+        assert main("tor --tags Y,Z --full --format json".split()) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # top degree 4 plus the top degree 8 of the exterior algebra
+        assert windows == [(6, 12)]
+        assert doc["complete"] is True
 
     @pytest.mark.parametrize(
         "argv, dmax, dims",

@@ -22,7 +22,6 @@ from weightcalc.monomial import (
     ideal_a1,
     ideal_ijd,
     unit_ideal,
-    zero_ideal,
 )
 from weightcalc.weights import (
     Params,
@@ -77,7 +76,7 @@ class TestSurvival:
 class TestCycleOf:
     def test_full_ring(self):
         for f in (1, 2, 3):
-            v = cycle_of(zero_ideal(f))
+            v = cycle_of(MonomialIdeal(f, ()))
             assert v.mults == (1,) * 2**f
             assert v.total == 2**f
 

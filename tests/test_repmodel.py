@@ -4,34 +4,178 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import pytest
 
-from weightcalc.monomial import ideal_a
+from weightcalc.monomial import ideal_a, ideal_a1
 from weightcalc.repmodel import (
-    WeightTag,
     chain_model,
-    hw_predicate,
-    jh_I_sigma_tau,
-    k1_predicate,
     nonsplit_lattice,
-    param_sets,
     split_sigma_model,
     subquot_char_identity,
 )
 from weightcalc.weights import (
+    S_PM2,
+    S_PM3,
+    S_X,
+    S_X1,
     LambdaTuple,
     Params,
     TTag,
+    enumerate_d,
     enumerate_dss,
     enumerate_p,
     enumerate_pss,
     from_symbols,
     j_set,
-    pss_to_p_projection,
     star_involution,
     t_type,
 )
+
+from reference import pss_to_p_projection
+
+# Tag bookkeeping that no `verify` check reads: weight tags, the index
+# subsets of one tuple, the Jordan-Hoelder interval and the two pairing
+# predicates.  Kept here with their tests until a change either deletes
+# them or states their claims as report checks.
+
+# Symbols whose indices belong to the large-family parameter subset.
+_XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
+# Symbols that always contribute to the restricted-family subset.
+_X_SYMBOLS = frozenset({S_X, S_PM3, S_PM2})
+
+
+@dataclass(frozen=True)
+class WeightTag:
+    """A weight named by bookkeeping data instead of a representation.
+
+    Two parametrizations coexist.  A subset `j` names a member of the
+    diagonal-family lattice directly.  A pair (`base`, `s`) names a
+    constituent of the induction from the character with difference
+    residue `base`; those tags satisfy the complement rule: conjugating
+    the inducing character complements the subset.
+    """
+
+    f: int
+    j: frozenset[int] | None = None
+    base: int | None = None
+    s: frozenset[int] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.j is None) == (self.s is None):
+            raise ValueError("exactly one of j and s must be given")
+        if self.s is not None and self.base is None:
+            raise ValueError("an S-parametrized tag needs its base residue")
+        if self.j is not None and self.base is not None:
+            raise ValueError("a J-parametrized tag carries no base residue")
+        for name in ("j", "s"):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            val = frozenset(val)
+            object.__setattr__(self, name, val)
+            if not val <= frozenset(range(self.f)):
+                raise ValueError(f"{name}={sorted(val)} not a subset of 0..{self.f - 1}")
+
+    @property
+    def length(self) -> int:
+        if self.j is None:
+            raise ValueError("length is defined for J-parametrized tags")
+        return len(self.j)
+
+    def conjugate(self, modulus: int) -> "WeightTag":
+        """The same weight seen inside the conjugate induction."""
+        if self.s is None:
+            raise ValueError("conjugation acts on S-parametrized tags")
+        return WeightTag(
+            self.f,
+            base=(-self.base) % modulus,
+            s=frozenset(range(self.f)) - self.s,
+        )
+
+
+def _tag_key(tag: WeightTag) -> tuple[int, tuple[int, ...]]:
+    subset = tag.j if tag.j is not None else tag.s
+    return (len(subset), tuple(sorted(subset)))
+
+
+@dataclass(frozen=True)
+class ParamSets:
+    """The index subsets attached to one tuple.
+
+    `xss` is defined for every member of the full family; the other
+    three require membership in the restricted family and are None
+    otherwise.
+    """
+
+    xss: frozenset[int]
+    x: frozenset[int] | None
+    y: frozenset[int] | None
+    z: frozenset[int] | None
+
+
+def param_sets(lam: LambdaTuple, params: Params) -> ParamSets:
+    if not lam.in_pss():
+        raise ValueError(f"{lam} does not satisfy the adjacency conditions")
+    ent = lam.entries
+    xss = frozenset(j for j, s in enumerate(ent) if s in _XSS_SYMBOLS)
+    if not lam.in_p(params.j_rho):
+        return ParamSets(xss, None, None, None)
+    x = frozenset(
+        j
+        for j, s in enumerate(ent)
+        if s in _X_SYMBOLS or (s == S_X1 and j in params.j_rho)
+    )
+    tags = t_type(lam, params)
+    y = frozenset(j for j, t in enumerate(tags) if t is not TTag.Y)
+    z = frozenset(j for j, t in enumerate(tags) if t is not TTag.Z)
+    return ParamSets(xss, x, y, z)
+
+
+def jh_I_sigma_tau(
+    j_sigma: frozenset[int] | set[int],
+    j_tau: frozenset[int] | set[int],
+    f: int,
+) -> tuple[WeightTag, ...]:
+    """All lattice tags between two nested subsets, smallest first."""
+    j_sigma, j_tau = frozenset(j_sigma), frozenset(j_tau)
+    if not j_tau <= frozenset(range(f)):
+        raise ValueError(f"{sorted(j_tau)} not a subset of 0..{f - 1}")
+    if not j_sigma <= j_tau:
+        raise ValueError("index sets are not nested")
+    free = sorted(j_tau - j_sigma)
+    tags = []
+    for k in range(len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            tags.append(WeightTag(f, j=j_sigma | frozenset(extra)))
+    return tuple(sorted(tags, key=_tag_key))
+
+
+def hw_predicate(
+    s_sigma: frozenset[int] | set[int],
+    s_tau: frozenset[int] | set[int],
+    J1: frozenset[int] | set[int],
+    J2: frozenset[int] | set[int],
+) -> bool:
+    """Whether the first tag can sit under the second across the step."""
+    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
+    J1, J2 = frozenset(J1), frozenset(J2)
+    if J1 & J2:
+        raise ValueError("index sets must be disjoint")
+    return not (s_sigma & J1) and (s_sigma | J1) <= (s_tau | J2)
+
+
+def k1_predicate(
+    s_sigma: frozenset[int] | set[int],
+    s_tau: frozenset[int] | set[int],
+    J2: frozenset[int] | set[int],
+) -> bool:
+    """Whether the pairing survives the first congruence level."""
+    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
+    J2 = frozenset(J2)
+    return J2 <= s_sigma and not (s_tau & J2)
+
 
 R_BY_F = {1: (6,), 2: (6, 16), 3: (6, 16, 7), 4: (6, 16, 7, 17)}
 
@@ -204,9 +348,7 @@ class TestLattice:
     def test_bottom_is_empty(self):
         st = nonsplit_lattice(-1, make_params(2, {0}))
         assert st.characters == ()
-        assert st.socle == ()
         assert st.functor_dim == 0
-        assert st.k1_layers == ()
 
     def test_top_is_everything(self):
         for f in (1, 2, 3):
@@ -218,26 +360,32 @@ class TestLattice:
 
     def test_single_index_graded_pieces(self):
         prm = make_params(1, {0})
-        st = nonsplit_lattice(0, prm)
-        by_symbol = {lam.symbols()[0]: ideal for lam, ideal in st.ideals}
+        by_symbol = {
+            lam.symbols()[0]: ideal_a1(lam, 0, prm) for lam in enumerate_p(prm)
+        }
         assert str(by_symbol["x"]) == "(z0)"
         assert str(by_symbol["p-1-x"]) == "(y0)"
         assert by_symbol["x+2"].is_unit
         assert by_symbol["p-3-x"].is_unit
 
     def test_socle_and_layer_counts(self):
+        # the socle at threshold i0 is indexed by the diagonal-family
+        # members whose J-set has at most i0 indices, all of them marked,
+        # one layer per J-set size
         for f in (2, 3):
             for jr in all_jrho(f) if f == 2 else [frozenset({0, 2})]:
                 prm = make_params(f, jr)
                 for i0 in range(-1, f + 1):
                     st = nonsplit_lattice(i0, prm)
-                    assert len(st.socle) == sum(
-                        math.comb(len(jr), i) for i in range(i0 + 1)
-                    )
-                    assert [len(layer) for layer in st.k1_layers] == [
-                        math.comb(len(jr), i) for i in range(i0 + 1)
+                    socle = [
+                        j_set(lam)
+                        for lam in enumerate_d(prm)
+                        if len(j_set(lam)) <= i0
                     ]
-                    assert all(tag.j <= jr for tag in st.socle)
+                    assert [
+                        sum(1 for j in socle if len(j) == i) for i in range(i0 + 1)
+                    ] == [math.comb(len(jr), i) for i in range(i0 + 1)]
+                    assert all(j <= jr for j in socle)
                     assert st.functor_dim == sum(
                         math.comb(f, i) for i in range(i0 + 1)
                     )
@@ -266,8 +414,8 @@ class TestLattice:
     def test_unit_ideals_exactly_above_threshold(self):
         prm = make_params(2, {0})
         for i0 in range(-1, 3):
-            st = nonsplit_lattice(i0, prm)
-            for lam, ideal in st.ideals:
+            for lam in enumerate_p(prm):
+                ideal = ideal_a1(lam, i0, prm)
                 assert ideal.is_unit == (len(j_set(lam)) > i0)
 
     def test_range_validation(self):

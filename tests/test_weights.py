@@ -15,8 +15,6 @@ from weightcalc.weights import (
     GenericityError,
     Params,
     TTag,
-    bracket_s,
-    delta_shift,
     enumerate_d,
     enumerate_dss,
     enumerate_p,
@@ -24,14 +22,14 @@ from weightcalc.weights import (
     from_symbols,
     idle_set,
     j_set,
-    jset_raise,
-    pss_to_p_projection,
     shift_by_s,
     star_involution,
     subsets,
     t_type,
     transfer_matrix_count,
 )
+
+from reference import bracket_s, delta_shift, jset_raise, pss_to_p_projection
 
 
 def mk(f, j_rho=(), p=29, r=None):
