@@ -34,7 +34,7 @@ rebuilds every slice map from the finished resolution on its own and
 ranks each slice once, up to the whole window, so it confirms on its
 own every slice the loop skipped; it also rejects a non-minimal map.
 The suites share resolutions through a bounded memo, so one verify run
-resolves each module once.
+resolves each module once in each window.
 """
 
 from __future__ import annotations
@@ -428,20 +428,34 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
 
 # Distinct modules one verify run resolves: at f = 2 the six factor
 # tables and the nine two-index patterns, which the dual check and the
-# tor suite share.  Bounded, so that a process running many configs
-# holds no more than one run's resolutions.
+# tor suite share in the default window; a tor suite in another window
+# adds its patterns, and reads nothing they evict again.  Bounded, so
+# that a process running many configs holds no more than one run's
+# resolutions.
 _MEMO_SIZE = 15
 
 
+def module_resolution(
+    tags: tuple[str, ...], with_in: bool, p: int, dmax: int | None = None
+) -> Resolution:
+    """Minimal resolution of the quotient for one tag pattern, out to index
+    2f for the plain quotients and 3f for the cube-deformed ones, and to
+    internal degree dmax.  The default window holds every reference table:
+    degree 4f + 2 for the plain quotients, 6f + 2 for the cube-deformed
+    ones.  Computed once per process for each input, an explicit window
+    equal to the default included; the result is shared between callers,
+    which must not mutate it."""
+    if dmax is None:
+        dmax = 6 * len(tags) + 2 if with_in else 4 * len(tags) + 2
+    return _module_resolution(tags, with_in, p, dmax)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def module_resolution(tags: tuple[str, ...], with_in: bool, p: int) -> Resolution:
-    """Minimal resolution of the quotient for one tag pattern, computed
-    once per process for each input.  The window holds every reference
-    table: index 2f and degree 4f + 2 for the plain quotients, index 3f
-    and degree 6f + 2 for the cube-deformed ones.  The result is shared
-    between callers, which must not mutate it."""
+def _module_resolution(
+    tags: tuple[str, ...], with_in: bool, p: int, dmax: int
+) -> Resolution:
     f = len(tags)
-    imax, dmax = (3 * f, 6 * f + 2) if with_in else (2 * f, 4 * f + 2)
+    imax = 3 * f if with_in else 2 * f
     return minimal_resolution(module_generators(tags, with_in, p), imax, dmax, p, f)
 
 
@@ -577,125 +591,3 @@ def expected_factor_table(t: str, with_in: bool) -> BettiTable:
 def expected_table(tags, with_in: bool) -> BettiTable:
     """Reference table for a product module, one factor per tag."""
     return kunneth_table([expected_factor_table(t, with_in) for t in tags])
-
-
-@dataclass(frozen=True)
-class TableCheck:
-    computed: BettiTable
-    expected: BettiTable
-    match: bool
-    diff: str
-    resolution: Resolution
-
-
-def resolution_tables(tags, with_in: bool, p: int = 29) -> TableCheck:
-    """Resolution of the quotient for one tag pattern, checked entry by
-    entry against the reference table; a mismatch is reported as a
-    structured diff.  The exactness recheck is the caller's:
-    `verify_resolution(check.resolution)`."""
-    tags = tuple(tags)
-    expected = expected_table(tags, with_in)
-    res = module_resolution(tags, with_in, p)
-    computed = res.betti()
-    match = computed.rows == expected.rows and res.next_kernel_empty is True
-    return TableCheck(computed, expected, match, computed.diff(expected), res)
-
-
-@dataclass(frozen=True)
-class TorResult:
-    tables: tuple[BettiTable, ...]
-    inconclusive: bool
-    reason: str
-
-    def total_dims(self) -> tuple[int, ...]:
-        top = max(len(t.rows) for t in self.tables) if self.tables else 0
-        return tuple(
-            sum(len(t.row(i)) for t in self.tables) for i in range(top)
-        )
-
-
-def _cut_table(table: BettiTable, dmax: int) -> BettiTable:
-    """The table a resolution in a window up to degree dmax would give:
-    shifts of degree above dmax dropped, then trailing empty rows."""
-    rows = [tuple(sh for sh in row if sh[0] <= dmax) for row in table.rows]
-    while rows and not rows[-1]:
-        rows.pop()
-    return BettiTable(table.f, tuple(rows))
-
-
-def tor_grlambda(patterns, dmax: int | None = None, p: int = 29) -> TorResult:
-    """Tor of a direct sum of undeformed cyclic quotients, one summand per
-    tag pattern, as shift/character tables per homological index up to
-    twice the index count.
-
-    Betti data is additive across summands, so each is resolved on its
-    own; per-summand tables come back in input order for callers that
-    attach a character twist to each.
-    """
-    patterns = [tuple(pt) for pt in patterns]
-    if not patterns:
-        raise ValueError("need at least one summand")
-    f = len(patterns[0])
-    if any(len(pt) != f for pt in patterns):
-        raise ValueError("mixed index counts across summands")
-    # one table per distinct pattern, cut from the memo's window (degree
-    # 4f + 2) when the requested one fits inside it
-    top = 4 * f + 2
-    window = top if dmax is None else dmax
-
-    def table_of(pt: tuple[str, ...]) -> BettiTable:
-        if window <= top:
-            return _cut_table(module_resolution(pt, False, p).betti(), window)
-        gens = module_generators(pt, False, p)
-        return minimal_resolution(gens, 2 * f, window, p, f).betti()
-
-    resolved = {pt: table_of(pt) for pt in dict.fromkeys(patterns)}
-    reasons = []
-    tables = []
-    for pt in patterns:
-        table = resolved[pt]
-        for i, row in enumerate(table.rows):
-            bad = [e for e, _ in row if not i <= e <= 2 * i]
-            if i and bad:
-                reasons.append(f"support bound broken at i={i}, shifts {bad}")
-        tables.append(table)
-    # in-window completeness leans on the generator support bound [i, 2i]
-    # up to index 2f, re-checked on every computed row above
-    if window < 4 * f:
-        reasons.insert(0, f"window {window} cannot certify generators up to degree {4 * f}")
-    return TorResult(tuple(tables), bool(reasons), "; ".join(reasons))
-
-
-@dataclass(frozen=True)
-class DualBoundResult:
-    top_shifts: tuple[Shift, ...]
-    expected_shift: int
-    within_bounds: bool
-    single_summand: bool
-    inconclusive: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.single_summand and self.within_bounds and not self.inconclusive
-        )
-
-
-def dual_degree_bound_check(tags, p: int = 29) -> DualBoundResult:
-    """Top-index term of the undeformed quotient's resolution: a single
-    summand whose shift is 3 per plain factor plus 4 per product factor,
-    always between 3f and 4f."""
-    tags = tuple(tags)
-    f = len(tags)
-    if f > 2:
-        raise ValueError("checked only for one or two factors")
-    res = module_resolution(tags, False, p)
-    top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
-    d = sum(1 for t in tags if t == "YZ")
-    expected = 3 * (f - d) + 4 * d
-    within = all(3 * f <= e <= 4 * f for e, _ in top) and all(
-        e == expected for e, _ in top
-    )
-    return DualBoundResult(
-        top, expected, within, len(top) == 1, res.next_kernel_empty is not True
-    )

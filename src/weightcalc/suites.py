@@ -31,11 +31,8 @@ from weightcalc.cycles import (
 )
 from weightcalc.homology.resolution import (
     BettiTable,
-    TorResult,
-    dual_degree_bound_check,
     expected_table,
-    resolution_tables,
-    tor_grlambda,
+    module_resolution,
     verify_resolution,
     wedge_table,
 )
@@ -341,10 +338,13 @@ def check_factor_tables(
     tables = {}
     for t in ("Y", "Z", "YZ"):
         for full in (False, True):
-            chk = resolution_tables((t,), full, p)
-            tables[((t,), full)] = chk.computed
-            problems = [] if chk.match else [f"diff: {chk.diff}"]
-            if not verify_resolution(chk.resolution):
+            res = module_resolution((t,), full, p)
+            computed, expected = res.betti(), expected_table((t,), full)
+            tables[((t,), full)] = computed
+            problems = []
+            if computed.rows != expected.rows or res.next_kernel_empty is not True:
+                problems.append(f"diff: {computed.diff(expected)}")
+            if not verify_resolution(res):
                 problems.append("the resolution failed its exactness recheck")
             rec.add(
                 "factor-table",
@@ -357,27 +357,35 @@ def check_factor_tables(
 
 def check_dual_shifts(rec: Recorder, f: int, p: int) -> None:
     """The top term of every undeformed f-index quotient's resolution
-    against the predicted shift."""
+    against the predicted shift: a single summand of degree 3 per plain
+    factor plus 4 per product factor, always between 3f and 4f."""
     for tags in itertools.product(("Y", "Z", "YZ"), repeat=f):
-        d = dual_degree_bound_check(tags, p=p)
+        res = module_resolution(tags, False, p)
+        top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
+        expected = 3 * f + tags.count("YZ")
         rec.add(
             "dual-top-shift",
             "the dual of the undeformed quotient concentrates in the predicted shift window",
-            None if d.inconclusive else d.ok,
-            f"tags = {tags}: top shifts {d.top_shifts}, expected {d.expected_shift}",
+            None
+            if res.next_kernel_empty is not True
+            else [e for e, _ in top] == [expected],
+            f"tags = {tags}: top shifts {top}, expected {expected}",
         )
 
 
 def check_tor_family(
-    rec: Recorder, params: Params, family: tuple[LambdaTuple, ...], res: TorResult
+    rec: Recorder,
+    params: Params,
+    family: tuple[LambdaTuple, ...],
+    tables: tuple[BettiTable, ...],
 ) -> None:
     """Dimension, character, and support checks on the Tor tables of the
     family's undeformed quotients, one table per member in family order."""
     f = params.f
     mod = params.q_minus_one
     bases = [(-diff_of_lambda(lam, params).value) % mod for lam in family]
-    tables = res.tables
-    dims = res.total_dims()
+    top = max(len(t.rows) for t in tables)
+    dims = tuple(sum(len(t.row(i)) for t in tables) for i in range(top))
     expected_dims = tuple(math.comb(2 * f, i) * len(family) for i in range(2 * f + 1))
     rec.add(
         "tor-dims",
@@ -627,20 +635,32 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
         return rec.checks
     family = enumerate_p(params)
     patterns = [tuple(t.value for t in t_type(lam, params)) for lam in family]
-    res = tor_grlambda(patterns, dmax=max_degree, p=params.p)
-    if res.inconclusive:
+    tables = tuple(
+        module_resolution(tags, False, params.p, max_degree).betti() for tags in patterns
+    )
+    reasons = []
+    if max_degree is not None and max_degree < 4 * f:
+        reasons.append(f"window {max_degree} cannot certify generators up to degree {4 * f}")
+    # in-window completeness leans on the generator support bound [i, 2i]
+    # up to index 2f, re-checked on every computed row
+    for table in tables:
+        for i, row in enumerate(table.rows):
+            bad = [e for e, _ in row if not i <= e <= 2 * i]
+            if i and bad:
+                reasons.append(f"support bound broken at i={i}, shifts {bad}")
+    if reasons:
         rec.add(
             "tor-dims",
             "total Tor dimensions are binomial multiples of the family size",
             None,
-            res.reason,
+            "; ".join(reasons),
         )
     else:
-        check_tor_family(rec, params, family, res)
+        check_tor_family(rec, params, family, tables)
         for tags in sorted(set(patterns)):
-            table = res.tables[patterns.index(tags)]
+            table = tables[patterns.index(tags)]
             if f == 1:
-                big, note = resolution_tables(tags, True, params.p).computed, ""
+                big, note = module_resolution(tags, True, params.p).betti(), ""
             else:
                 big = expected_table(tags, True)
                 note = " (deformed side composed from verified factors)"

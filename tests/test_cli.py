@@ -38,7 +38,7 @@ SHARED_MEMOS = (
     "weightcalc.homology.taylor._ext_ranks",
     "weightcalc.homology.taylor._pattern_homology",
     "weightcalc.homology.taylor._codim",
-    "weightcalc.homology.resolution.module_resolution",
+    "weightcalc.homology.resolution._module_resolution",
     "weightcalc.suites._closed_form_counts",
     "weightcalc.suites._shellable",
 )
@@ -184,6 +184,28 @@ class TestRun:
         assert report.counts()["inconclusive"] >= 1
         assert report.counts()["fail"] == 0
         assert report.exit_code == 3
+        # the f = 1 tables are certified from window 4f = 4 on
+        for window in range(7):
+            (suite,) = run(_config(suites=("tor",), max_degree=window)).suites
+            (dims,) = [c for c in suite.checks if c.id.startswith("homology.tor-dims.")]
+            assert (dims.status == "inconclusive") == (window < 4)
+            assert dims.details.startswith(f"window {window} ") == (window < 4)
+
+    def test_small_window_resolves_only_its_window(self, monkeypatch):
+        from weightcalc.homology import resolution as reso
+
+        windows = []
+        inner = reso.minimal_resolution
+
+        def counted(gens, imax, dmax, p, f):
+            windows.append(dmax)
+            return inner(gens, imax, dmax, p, f)
+
+        monkeypatch.setattr(reso, "minimal_resolution", counted)
+        reso._module_resolution.cache_clear()
+        f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
+        run(_config(**f2, suites=("tor",), max_degree=5))
+        assert windows and max(windows) == 5
 
     def test_blind_spot_residue_still_passes(self):
         # r = 13 at p = 29 makes pairs of base characters collide at
@@ -211,20 +233,20 @@ class TestRun:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(reso, "minimal_resolution", counted)
-        reso.module_resolution.cache_clear()
+        reso._module_resolution.cache_clear()
         run(_config(suites=("resolutions", "tor")))
         # six factor tables, which the dual check and the tor suite share
         assert len(calls) == 6
         calls.clear()
         f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
-        reso.module_resolution.cache_clear()
+        reso._module_resolution.cache_clear()
         run(_config(**f2, suites=("resolutions", "tor")))
         # six factor tables and nine two-index patterns, which the dual
         # check and the tor suite share
         assert len(calls) == 15
 
         def tor_checks(suites):
-            reso.module_resolution.cache_clear()
+            reso._module_resolution.cache_clear()
             doc = run(_config(**f2, suites=suites)).as_dict(with_timings=False)
             return [s["checks"] for s in doc["suites"] if s["name"] == "tor"]
 

@@ -754,58 +754,68 @@ class TestFactorTables:
     def test_all_factor_tables_match(self):
         for t in ALL_TAGS:
             for full in (False, True):
-                chk = reso.resolution_tables((t,), full)
-                assert chk.match, (t, full, chk.diff)
+                res = reso.module_resolution((t,), full, 29)
+                computed, expected = res.betti(), reso.expected_table((t,), full)
+                assert computed.rows == expected.rows, (t, full, computed.diff(expected))
+                assert res.next_kernel_empty is True, (t, full)
 
     def test_surviving_z_quotient_dims(self):
-        res = reso.tor_grlambda([("Z",)])
-        assert res.tables[0].dims() == (1, 2, 1)
-        assert not res.inconclusive
+        assert reso.module_resolution(("Z",), False, 29).betti().dims() == (1, 2, 1)
 
     def test_small_window_is_inconclusive(self):
-        res = reso.tor_grlambda([("Z",)], dmax=2)
-        assert res.inconclusive
-        assert res.reason.startswith("window 2 ")
+        from weightcalc.suites import _suite_tor
+        from weightcalc.weights import Params
 
-    def test_explicit_window_is_cut_from_the_memo(self, monkeypatch):
+        # window 2 misses the degree-3 top generator, so the tor suite
+        # must not certify the f = 1 tables from it
+        assert reso.module_resolution(("Z",), False, 29, 2).betti().dims() == (1, 2)
+        checks = _suite_tor(Params(1, 29, frozenset({0}), (13,)), 2)
+        (dims,) = [c for c in checks if c.id.startswith("homology.tor-dims.")]
+        assert dims.status == "inconclusive"
+        assert dims.details.startswith("window 2 ")
+
+    def test_window_table_is_the_default_table_cut(self):
+        # a window W gives the default window's table with the shifts
+        # above W dropped, then the trailing empty rows
         p = 29
-        resolve = reso.minimal_resolution
         for f in (1, 2):
             for tags in itertools.product(ALL_TAGS, repeat=f):
-                # every window up to 4f + 2 is served from the memo
-                reso.module_resolution(tags, False, p)
-                monkeypatch.setattr(reso, "minimal_resolution", None)
-                cut = [reso.tor_grlambda([tags], dmax, p) for dmax in range(4 * f + 3)]
-                monkeypatch.setattr(reso, "minimal_resolution", resolve)
-                gens = reso.module_generators(tags, False, p)
-                for dmax, res in enumerate(cut):
-                    table = resolve(gens, 2 * f, dmax, p, f).betti()
-                    assert res.tables == (table,), (tags, dmax)
-                    assert res.inconclusive == (dmax < 4 * f)
+                default = reso.module_resolution(tags, False, p)
+                for dmax in range(4 * f + 6):
+                    res = reso.module_resolution(tags, False, p, dmax)
+                    rows = [
+                        tuple(sh for sh in row if sh[0] <= dmax)
+                        for row in default.betti().rows
+                    ]
+                    while rows and not rows[-1]:
+                        rows.pop()
+                    assert res.betti() == reso.BettiTable(f, tuple(rows)), (tags, dmax)
+                    # the default window, given explicitly, is the same memo entry
+                    assert (res is default) == (dmax == 4 * f + 2)
 
     def test_undeformed_tables_are_exterior_powers(self):
         for t in ALL_TAGS:
-            table = reso.resolution_tables((t,), False).computed
+            table = reso.module_resolution((t,), False, 29).betti()
             wedge = reso.wedge_table(table.rows[1], 2, 1)
             assert table.rows == wedge.rows
 
     def test_cube_quotient_breaks_the_exterior_pattern(self):
         # an extra second syzygy appears, so the wedge of row 1 overshoots
-        table = reso.resolution_tables(("YZ",), True).computed
+        table = reso.module_resolution(("YZ",), True, 29).betti()
         wedge = reso.wedge_table(table.rows[1], 3, 1)
         assert table.rows[2] != wedge.rows[2]
 
     def test_undeformed_tor_embeds_in_cube_quotient_tor(self):
         for t in ALL_TAGS:
-            small = reso.resolution_tables((t,), False).computed
-            big = reso.resolution_tables((t,), True).computed
+            small = reso.module_resolution((t,), False, 29).betti()
+            big = reso.module_resolution((t,), True, 29).betti()
             for i in range(3):
                 a, b = Counter(small.row(i)), Counter(big.row(i))
                 assert all(a[k] <= b[k] for k in a), (t, i)
 
     def test_support_window(self):
         for t in ALL_TAGS:
-            table = reso.resolution_tables((t,), False).computed
+            table = reso.module_resolution((t,), False, 29).betti()
             for i, row in enumerate(table.rows):
                 assert all(i <= e <= 2 * i or i == 0 for e, _ in row)
 
@@ -818,12 +828,11 @@ class TestFactorTables:
             (("Z", "YZ"), 7),
             (("YZ", "YZ"), 8),
         ]:
-            d = reso.dual_degree_bound_check(tags)
-            assert d.ok and d.expected_shift == shift, (tags, d)
+            res = reso.module_resolution(tags, False, 29)
             f = len(tags)
-            assert all(3 * f <= e <= 4 * f for e, _ in d.top_shifts)
-        with pytest.raises(ValueError):
-            reso.dual_degree_bound_check(("Y", "Y", "Y"))
+            assert res.next_kernel_empty is True, tags
+            assert [e for e, _ in res.shifts[2 * f]] == [shift], tags
+            assert 3 * f <= shift <= 4 * f
 
 
 class TestTwoIndexResolutions:
@@ -880,8 +889,8 @@ class TestTwoIndexResolutions:
         # undeformed quotient Tor dimensions depend only on the index count
         import math
 
-        res = reso.tor_grlambda([("Y",), ("Z",), ("YZ",)])
-        assert res.total_dims() == tuple(3 * math.comb(2, i) for i in range(3))
+        dims = [reso.module_resolution((t,), False, 29).betti().dims() for t in ALL_TAGS]
+        assert tuple(map(sum, zip(*dims))) == tuple(3 * math.comb(2, i) for i in range(3))
 
 
 # Tor of the trivial module A/(y, z) at f = 1 is the homology of the
@@ -951,12 +960,10 @@ class TestDegreeBound:
 
 class TestVerification:
     def test_verify_accepts_computed(self):
-        chk = reso.resolution_tables(("YZ",), True)
-        assert reso.verify_resolution(chk.resolution)
+        assert reso.verify_resolution(reso.module_resolution(("YZ",), True, 29))
 
     def test_verify_rejects_tampering(self):
-        chk = reso.resolution_tables(("Y",), False)
-        res = chk.resolution
+        res = reso.module_resolution(("Y",), False, 29)
         # shifting a presentation generator by a unit breaks the composition
         bad_gen = (res.maps[0][0][0] + PbwElement.one(res.f, res.p),)
         bad_maps = ((bad_gen,) + res.maps[0][1:],) + res.maps[1:]
@@ -966,7 +973,7 @@ class TestVerification:
     def test_verify_rejects_unit_component(self):
         # add a split summand A(-3) -> A(-3) with identity map: the complex
         # stays exact and composes to zero, but it is no longer minimal
-        res = reso.resolution_tables(("Y",), False).resolution
+        res = reso.module_resolution(("Y",), False, 29)
         zero, one = PbwElement.zero(res.f, res.p), PbwElement.one(res.f, res.p)
         shift = (3, (1,))
         shifts = (res.shifts[0], res.shifts[1] + (shift,), res.shifts[2] + (shift,))
@@ -978,7 +985,7 @@ class TestVerification:
     @pytest.mark.parametrize("k", [0, 1])
     def test_verify_rejects_short_vectors(self, k):
         # a level-2 vector missing its trailing (zero) component
-        res = reso.resolution_tables(("YZ",), True).resolution
+        res = reso.module_resolution(("YZ",), True, 29)
         vecs = list(res.maps[1])
         assert not vecs[k][-1].terms
         vecs[k] = vecs[k][:-1]
@@ -990,8 +997,7 @@ class TestVerification:
     def test_euler_of_slices(self):
         # alternating sums of slice dimensions recover the quotient: the
         # undeformed Y-pattern quotient is spanned by the z-powers
-        chk = reso.resolution_tables(("Y",), False)
-        res = chk.resolution
+        res = reso.module_resolution(("Y",), False, 29)
         for deg in range(7):
             for w in range(-deg, deg + 1):
                 total = 0

@@ -36,9 +36,9 @@ from weightcalc.weights import (
 from reference import pss_to_p_projection
 
 # Tag bookkeeping that no `verify` check reads: weight tags, the index
-# subsets of one tuple, the Jordan-Hoelder interval and the two pairing
-# predicates.  Kept here with their tests until a change either deletes
-# them or states their claims as report checks.
+# subsets of one tuple and the Jordan-Hoelder interval.  Kept here with
+# their tests until a change either deletes them or states their claims
+# as report checks.
 
 # Symbols whose indices belong to the large-family parameter subset.
 _XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
@@ -150,31 +150,6 @@ def jh_I_sigma_tau(
         for extra in itertools.combinations(free, k):
             tags.append(WeightTag(f, j=j_sigma | frozenset(extra)))
     return tuple(sorted(tags, key=_tag_key))
-
-
-def hw_predicate(
-    s_sigma: frozenset[int] | set[int],
-    s_tau: frozenset[int] | set[int],
-    J1: frozenset[int] | set[int],
-    J2: frozenset[int] | set[int],
-) -> bool:
-    """Whether the first tag can sit under the second across the step."""
-    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
-    J1, J2 = frozenset(J1), frozenset(J2)
-    if J1 & J2:
-        raise ValueError("index sets must be disjoint")
-    return not (s_sigma & J1) and (s_sigma | J1) <= (s_tau | J2)
-
-
-def k1_predicate(
-    s_sigma: frozenset[int] | set[int],
-    s_tau: frozenset[int] | set[int],
-    J2: frozenset[int] | set[int],
-) -> bool:
-    """Whether the pairing survives the first congruence level."""
-    s_sigma, s_tau = frozenset(s_sigma), frozenset(s_tau)
-    J2 = frozenset(J2)
-    return J2 <= s_sigma and not (s_tau & J2)
 
 
 R_BY_F = {1: (6,), 2: (6, 16), 3: (6, 16, 7), 4: (6, 16, 7, 17)}
@@ -315,33 +290,6 @@ class TestJhInterval:
         for f in (1, 2, 3, 4):
             tags = jh_I_sigma_tau(set(), set(range(f)), f)
             assert len({t.j for t in tags}) == 2**f
-
-
-class TestPredicates:
-    def test_no_step_reduces_to_containment(self):
-        subsets = [frozenset(s) for k in range(3) for s in itertools.combinations(range(2), k)]
-        for ss in subsets:
-            for st in subsets:
-                assert hw_predicate(ss, st, set(), set()) == (ss <= st)
-
-    def test_full_sets_pass_for_any_second_set(self):
-        full = frozenset(range(2))
-        for J2 in [set(), {0}, {1}, {0, 1}]:
-            assert hw_predicate(full, full, set(), J2)
-
-    def test_spot_value(self):
-        assert hw_predicate({1}, {0, 1}, {0}, set())
-        assert not hw_predicate({0, 1}, {0, 1}, {0}, set())
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            hw_predicate({0}, {1}, {0}, {0})
-
-    def test_k1_conditions(self):
-        assert k1_predicate({0, 1}, set(), {0})
-        assert not k1_predicate({1}, set(), {0})
-        assert not k1_predicate({0}, {0}, {0})
-        assert k1_predicate(set(), {0, 1}, set())
 
 
 class TestLattice:
