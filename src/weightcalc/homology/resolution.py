@@ -33,8 +33,9 @@ reaches the bound of the level after the last.  The exactness recheck
 rebuilds every slice map from the finished resolution on its own and
 ranks each slice once, up to the whole window, so it confirms on its
 own every slice the loop skipped; it also rejects a non-minimal map.
-The suites share resolutions through a bounded memo, so one verify run
-resolves each module once in each window.
+The suites share resolutions through a bounded memo keyed on the
+module's symmetry class, so one verify run resolves each class once in
+each window and carries it to the rest of the class by an automorphism.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from weightcalc.homology.linalg import Row, rank_mod, span_and_kernel
@@ -426,13 +427,52 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
     )
 
 
-# Distinct modules one verify run resolves: at f = 2 the six factor
-# tables and the nine two-index patterns, which the dual check and the
-# tor suite share in the default window; a tor suite in another window
-# adds its patterns, and reads nothing they evict again.  Bounded, so
-# that a process running many configs holds no more than one run's
+# Symmetry classes one verify run resolves: at f = 2 the four factor
+# classes (Y and YZ, plain and cube-deformed; Z is the twist of Y) and the
+# three plain two-index classes (Y Y, Y YZ, YZ YZ), which the dual check
+# and the tor suite share in the default window; a tor suite in another
+# window adds its classes, and reads nothing they evict again.  Bounded,
+# so that a process running many configs holds no more than one run's
 # resolutions.
-_MEMO_SIZE = 15
+_MEMO_SIZE = 7
+
+
+def _symmetry_class(
+    tags: tuple[str, ...],
+) -> tuple[tuple[str, ...], tuple[int, ...], frozenset[int]]:
+    """Representative of the tag pattern's class under index permutations
+    and the twists sigma_j (y_j <-> z_j, h_j -> -h_j), which fix the tag
+    YZ and the cubes and swap Y with Z: every Z becomes Y, then the
+    indices are sorted stably by tag.  Also returns the automorphism that carries the
+    representative's quotient to the pattern's, as the arguments of
+    `PbwElement.twisted`: index j of the pattern reads index read[j] of
+    the representative, then sigma_j acts at every j in flips."""
+    plain = tuple("Y" if t == "Z" else t for t in tags)
+    order = sorted(range(len(tags)), key=plain.__getitem__)
+    read = tuple(order.index(j) for j in range(len(tags)))
+    flips = frozenset(j for j, t in enumerate(tags) if t == "Z")
+    return tuple(plain[j] for j in order), read, flips
+
+
+def _twist_resolution(
+    res: Resolution, read: tuple[int, ...], flips: frozenset[int]
+) -> Resolution:
+    """The resolution's image under the automorphism of `PbwElement.twisted`:
+    an automorphism keeps degrees and exactness, moves the character
+    components with the indices and negates the flipped ones."""
+
+    def shift(sh: Shift) -> Shift:
+        e, u = sh
+        return e, tuple(-u[i] if j in flips else u[i] for j, i in enumerate(read))
+
+    return replace(
+        res,
+        shifts=tuple(tuple(map(shift, row)) for row in res.shifts),
+        maps=tuple(
+            tuple(tuple(el.twisted(read, flips) for el in vec) for vec in vecs)
+            for vecs in res.maps
+        ),
+    )
 
 
 def module_resolution(
@@ -442,12 +482,18 @@ def module_resolution(
     2f for the plain quotients and 3f for the cube-deformed ones, and to
     internal degree dmax.  The default window holds every reference table:
     degree 4f + 2 for the plain quotients, 6f + 2 for the cube-deformed
-    ones.  Computed once per process for each input, an explicit window
-    equal to the default included; the result is shared between callers,
-    which must not mutate it."""
+    ones.  Computed once per process for each symmetry class and window,
+    an explicit window equal to the default included, and carried to the
+    pattern by the automorphism between them.  The representative's own
+    result is shared between callers, which must not mutate it."""
     if dmax is None:
         dmax = 6 * len(tags) + 2 if with_in else 4 * len(tags) + 2
-    return _module_resolution(tags, with_in, p, dmax)
+    tags = tuple(tags)
+    rep, read, flips = _symmetry_class(tags)
+    res = _module_resolution(rep, with_in, p, dmax)
+    if rep == tags:
+        return res
+    return _twist_resolution(res, read, flips)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

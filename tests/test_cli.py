@@ -235,15 +235,16 @@ class TestRun:
         monkeypatch.setattr(reso, "minimal_resolution", counted)
         reso._module_resolution.cache_clear()
         run(_config(suites=("resolutions", "tor")))
-        # six factor tables, which the dual check and the tor suite share
-        assert len(calls) == 6
+        # the six factor tables form four symmetry classes (Z is the twist
+        # of Y), which the dual check and the tor suite share
+        assert len(calls) == 4
         calls.clear()
         f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
         reso._module_resolution.cache_clear()
         run(_config(**f2, suites=("resolutions", "tor")))
-        # six factor tables and nine two-index patterns, which the dual
-        # check and the tor suite share
-        assert len(calls) == 15
+        # four factor classes and the three classes of the nine plain
+        # two-index patterns, which the dual check and the tor suite share
+        assert len(calls) == 7
 
         def tor_checks(suites):
             reso._module_resolution.cache_clear()

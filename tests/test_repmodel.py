@@ -35,10 +35,9 @@ from weightcalc.weights import (
 
 from reference import pss_to_p_projection
 
-# Tag bookkeeping that no `verify` check reads: weight tags, the index
-# subsets of one tuple and the Jordan-Hoelder interval.  Kept here with
-# their tests until a change either deletes them or states their claims
-# as report checks.
+# Tag bookkeeping that no `verify` check reads: weight tags and the index
+# subsets of one tuple.  Kept here with their tests until a change either
+# deletes them or states their claims as report checks.
 
 # Symbols whose indices belong to the large-family parameter subset.
 _XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
@@ -95,11 +94,6 @@ class WeightTag:
         )
 
 
-def _tag_key(tag: WeightTag) -> tuple[int, tuple[int, ...]]:
-    subset = tag.j if tag.j is not None else tag.s
-    return (len(subset), tuple(sorted(subset)))
-
-
 @dataclass(frozen=True)
 class ParamSets:
     """The index subsets attached to one tuple.
@@ -131,25 +125,6 @@ def param_sets(lam: LambdaTuple, params: Params) -> ParamSets:
     y = frozenset(j for j, t in enumerate(tags) if t is not TTag.Y)
     z = frozenset(j for j, t in enumerate(tags) if t is not TTag.Z)
     return ParamSets(xss, x, y, z)
-
-
-def jh_I_sigma_tau(
-    j_sigma: frozenset[int] | set[int],
-    j_tau: frozenset[int] | set[int],
-    f: int,
-) -> tuple[WeightTag, ...]:
-    """All lattice tags between two nested subsets, smallest first."""
-    j_sigma, j_tau = frozenset(j_sigma), frozenset(j_tau)
-    if not j_tau <= frozenset(range(f)):
-        raise ValueError(f"{sorted(j_tau)} not a subset of 0..{f - 1}")
-    if not j_sigma <= j_tau:
-        raise ValueError("index sets are not nested")
-    free = sorted(j_tau - j_sigma)
-    tags = []
-    for k in range(len(free) + 1):
-        for extra in itertools.combinations(free, k):
-            tags.append(WeightTag(f, j=j_sigma | frozenset(extra)))
-    return tuple(sorted(tags, key=_tag_key))
 
 
 R_BY_F = {1: (6,), 2: (6, 16), 3: (6, 16, 7), 4: (6, 16, 7, 17)}
@@ -250,46 +225,6 @@ class TestParamSets:
                     xss = param_sets(lam, prm).xss
                     assert not (x & J1)
                     assert (x | J1) <= (xss | J2)
-
-
-class TestJhInterval:
-    def test_equal_sets_give_the_single_tag(self):
-        tags = jh_I_sigma_tau({1}, {1}, 2)
-        assert tags == (WeightTag(2, j=frozenset({1})),)
-
-    def test_full_interval_on_two_indices(self):
-        tags = jh_I_sigma_tau(set(), {0, 1}, 2)
-        assert len(tags) == 4
-        assert {t.j for t in tags} == {
-            frozenset(),
-            frozenset({0}),
-            frozenset({1}),
-            frozenset({0, 1}),
-        }
-
-    def test_counts_and_unique_top(self):
-        for f in (1, 2, 3):
-            idx = list(range(f))
-            for kt in range(f + 1):
-                for jt in map(frozenset, itertools.combinations(idx, kt)):
-                    for ks in range(kt + 1):
-                        for js in map(frozenset, itertools.combinations(sorted(jt), ks)):
-                            tags = jh_I_sigma_tau(js, jt, f)
-                            assert len(tags) == 2 ** len(jt - js)
-                            assert all(js <= t.j <= jt for t in tags)
-                            top = [t for t in tags if t.length == len(jt)]
-                            assert top == [WeightTag(f, j=jt)]
-
-    def test_non_nested_rejected(self):
-        with pytest.raises(ValueError):
-            jh_I_sigma_tau({0}, {1}, 2)
-        with pytest.raises(ValueError):
-            jh_I_sigma_tau(set(), {3}, 2)
-
-    def test_every_subset_appears_from_the_full_interval(self):
-        for f in (1, 2, 3, 4):
-            tags = jh_I_sigma_tau(set(), set(range(f)), f)
-            assert len({t.j for t in tags}) == 2**f
 
 
 class TestLattice:
