@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -52,7 +52,7 @@ from weightcalc.homology.linalg import Row, rank_mod, span_and_kernel
 # tracer patches this copied binding, and moving it waits for a benchmark
 # change (ROADMAP open item 6).
 from weightcalc.homology.linalg import nullspace_mod  # noqa: F401
-from weightcalc.homology.pbw import PbwElement, multiply_keys
+from weightcalc.homology.pbw import PbwElement, key_char, key_degree, multiply_keys
 
 CharVec = tuple[int, ...]
 Shift = tuple[int, CharVec]  # (internal degree, per-index y-minus-z count)
@@ -105,76 +105,124 @@ def _sub_char(w: CharVec, u: CharVec) -> CharVec:
     return tuple(a - b for a, b in zip(w, u))
 
 
-def _module_basis(
-    shifts: tuple[Shift, ...], deg: int, w: CharVec, f: int
-) -> list[tuple[int, tuple]]:
+def _rows_to_vectors(
+    rows: list[Row], shifts: tuple[Shift, ...], deg: int, w: CharVec, f: int, p: int
+) -> list[tuple[PbwElement, ...]]:
+    """Free-module vectors of rows given in the coordinates of the slice
+    basis of the summands with the given shifts."""
+    if not rows:
+        return []
+    basis = [
+        (s, m)
+        for s, (e, u) in enumerate(shifts)
+        for m in slice_keys(f, deg - e, _sub_char(w, u))
+    ]
     out = []
-    for s, (e, u) in enumerate(shifts):
-        for m in slice_keys(f, deg - e, _sub_char(w, u)):
-            out.append((s, m))
+    for row in rows:
+        parts: list[dict] = [dict() for _ in shifts]
+        for col, c in row.items():
+            s, key = basis[col]
+            parts[s][key] = c
+        out.append(tuple(PbwElement(f, p, terms) for terms in parts))
     return out
 
 
-def _expand(
-    vec: tuple[PbwElement, ...], index: dict[tuple[int, tuple], int]
-) -> Row:
-    return {
-        index[(k, key)]: c for k, el in enumerate(vec) for key, c in el.terms.items()
-    }
+def _pack(key: tuple, radix: int) -> int:
+    """A key's exponents (a_j, b_j, c_j) as the base-radix digits 3j,
+    3j + 1, 3j + 2 of one int."""
+    out = 0
+    for a, b, c in reversed(key):
+        out = ((out * radix + c) * radix + b) * radix + a
+    return out
 
 
-def _row_to_vector(
-    row: Row, basis: list[tuple[int, tuple]], nsummands: int, f: int, p: int
-) -> tuple[PbwElement, ...]:
-    parts: list[dict] = [dict() for _ in range(nsummands)]
-    for col, c in row.items():
-        s, key = basis[col]
-        parts[s][key] = c
-    return tuple(PbwElement(f, p, terms) for terms in parts)
+@lru_cache(maxsize=None)
+def _slice_parts(
+    f: int, e: int, w: CharVec, radix: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For the normal-form monomials y^a z^b h^c of the slice, in the order
+    of `slice_keys`, the packed keys of their parts y^a h^c and z^b, which
+    add up to their own packed keys."""
+    keys = slice_keys(f, e, w)
+    return (
+        tuple(_pack(tuple((a, 0, c) for a, _, c in key), radix) for key in keys),
+        tuple(_pack(tuple((0, b, 0) for _, b, _ in key), radix) for key in keys),
+    )
 
 
-def _image(
-    m: tuple, vec: tuple[PbwElement, ...], index: dict[tuple[int, tuple], int], p: int
-) -> Row:
-    """Coordinates of the product of monomial m with a free-module vector."""
-    row: Row = {}
-    for k, el in enumerate(vec):
-        for k2, c2 in el.terms.items():
-            for k3, c3 in multiply_keys(m, k2, p).items():
-                pos = index[(k, k3)]
-                row[pos] = (row.get(pos, 0) + c2 * c3) % p
-    return row
+class _PackedMap:
+    """One map of free modules, assembled slice by slice in packed
+    coordinates, within a window of degree dmax.
 
+    Every exponent of a key in a slice of degree at most dmax is at most
+    dmax, so with radix R = dmax + 1 a key packs into one int with 3f
+    base-R digits (`_pack`), and a basis element (s, m) of a free module
+    packs as s * R^(3f) + pack(m).  For m = y^a z^b h^c in normal form,
+    m * v = y^a h^c * (z^b * v), and the product rule only adds a and c to
+    the exponents of each term of z^b * v.  So a column is the packed terms
+    of z^b * v plus the packed key of y^a h^c, with no digit carried: every
+    digit of the sum is an exponent of a key in the target slice.  z^b * v
+    is computed once per generator and b, and kept as long as the object.
+    """
 
-def _multiples(
-    found: Iterable[Generator],
-    deg: int,
-    w: CharVec,
-    index: dict[tuple[int, tuple], int],
-    f: int,
-    p: int,
-) -> Iterator[Row]:
-    """Slice coordinates of every algebra multiple m * v of the generators
-    (shift, v) in found, in the order of the basis those multiples span."""
-    for (ge, gu), vec in found:
-        for m in slice_keys(f, deg - ge, _sub_char(w, gu)):
-            yield _image(m, vec, index, p)
+    def __init__(self, dmax: int, f: int, p: int):
+        self.f, self.p = f, p
+        self.radix = dmax + 1
+        self.width = self.radix ** (3 * f)
+        # packed terms of z^b * v mod p, keyed on the packed basis element
+        # (generator position, z^b) of the source
+        self.z_images: dict[int, tuple[tuple[int, int], ...]] = {}
 
+    def index(self, shifts: Iterable[Shift], deg: int, w: CharVec) -> dict[int, int]:
+        """Position of each packed basis element (s, m) in the slice of the
+        free module with the given shifts, summand by summand, in the order
+        of `slice_keys`."""
+        index: dict[int, int] = {}
+        for s, (e, u) in enumerate(shifts):
+            base = s * self.width
+            offsets, zparts = _slice_parts(self.f, deg - e, _sub_char(w, u), self.radix)
+            for offset, z in zip(offsets, zparts):
+                index[base + offset + z] = len(index)
+        return index
 
-def _map_matrix(
-    src_shifts: tuple[Shift, ...],
-    vecs: tuple[tuple[PbwElement, ...], ...],
-    tgt_shifts: tuple[Shift, ...],
-    deg: int,
-    w: CharVec,
-    f: int,
-    p: int,
-) -> list[Row]:
-    """Sparse columns of the slice map, one per source basis element, in
-    the coordinates of the target basis."""
-    tgt_basis = _module_basis(tgt_shifts, deg, w, f)
-    index = {bm: i for i, bm in enumerate(tgt_basis)}
-    return list(_multiples(zip(src_shifts, vecs), deg, w, index, f, p))
+    def coordinates(self, vec: tuple[PbwElement, ...], index: dict[int, int]) -> Row:
+        """Slice coordinates of a free-module vector."""
+        return {
+            index[s * self.width + _pack(key, self.radix)]: c
+            for s, el in enumerate(vec)
+            for key, c in el.terms.items()
+        }
+
+    def _z_image(self, z: int, vec: tuple[PbwElement, ...]) -> tuple[tuple[int, int], ...]:
+        """Packed terms of z^b * vec mod p, summand by summand, for z^b
+        packed as z."""
+        r = self.radix
+        zkey = tuple((0, z // r ** (3 * j + 1) % r, 0) for j in range(self.f))
+        p, out = self.p, {}
+        for s, el in enumerate(vec):
+            for key, c in el.terms.items():
+                for k, ck in multiply_keys(zkey, key, p).items():
+                    packed = s * self.width + _pack(k, self.radix)
+                    out[packed] = (out.get(packed, 0) + c * ck) % p
+        return tuple((k, c) for k, c in out.items() if c)
+
+    def columns(
+        self, found: Iterable[Generator], deg: int, w: CharVec, index: dict[int, int]
+    ) -> list[Row]:
+        """Slice coordinates of every algebra multiple m * v of the
+        generators (shift, v) in found, in the order of the basis those
+        multiples span.  A generator is known by its position in found,
+        which must hold the same generator at every call."""
+        out = []
+        for g, ((ge, gu), vec) in enumerate(found):
+            e, u = deg - ge, _sub_char(w, gu)
+            base = g * self.width
+            for offset, z in zip(*_slice_parts(self.f, e, u, self.radix)):
+                terms = self.z_images.get(base + z)
+                if terms is None:
+                    terms = self.z_images[base + z] = self._z_image(z, vec)
+                out.append({index[k + offset]: c for k, c in terms})
+        return out
 
 
 def _char_candidates(
@@ -243,6 +291,8 @@ def _resolve_slices(
     levels: list[list[Generator]] = [[((0, (0,) * f), ())]]
     levels += [[] for _ in range(top)]
     quotient_top: int | None = None
+    # the map from each level to the one below
+    maps = [_PackedMap(dmax, f, p) for _ in range(top)]
     for deg in range(1, dmax + 1):
         if deg > _generator_bound(quotient_top, top, f):
             break
@@ -255,30 +305,27 @@ def _resolve_slices(
                     # the bound grows with the level, so the skipped steps
                     # come first and leave ker None
                     continue
-                basis = _module_basis((sh for sh, _ in lower), deg, w, f)
-                if not basis:
+                shifts = tuple(sh for sh, _ in lower)
+                index = maps[step].index(shifts, deg, w)
+                if not index:
                     # a multiple of a higher generator would be a nonzero
                     # vector here, so the levels above are empty too
                     break
-                index = {bm: i for i, bm in enumerate(basis)}
                 span, next_ker = span_and_kernel(
-                    list(_multiples(upper, deg, w, index, f, p)), p
+                    maps[step].columns(upper, deg, w, index), p
                 )
                 if step == 0:
                     fresh = [
                         (g,)
                         for g in given.get((deg, w), ())
-                        if span.add(_expand((g,), index)) is not None
+                        if span.add(maps[0].coordinates((g,), index)) is not None
                     ]
                     quotient_dim -= span.rank
                 elif ker is None:
                     fresh = []
                 else:
-                    fresh = [
-                        _row_to_vector(rem, basis, len(lower), f, p)
-                        for rem in map(span.add, ker)
-                        if rem is not None
-                    ]
+                    rems = [rem for rem in map(span.add, ker) if rem is not None]
+                    fresh = _rows_to_vectors(rems, shifts, deg, w, f, p)
                     # the old span sits inside the kernel, so the count must close up
                     if span.rank != len(ker):
                         raise AssertionError("span bookkeeping out of step with kernel")
@@ -507,9 +554,9 @@ def _module_resolution(
 
 def verify_resolution(res: Resolution) -> bool:
     """Independent exactness recheck: every vector has one component per
-    target generator, no map has a nonzero component between generators
-    of equal shift, consecutive maps compose to zero symbolically, and
-    slice ranks match kernel dimensions up to dmax."""
+    target generator, every map is homogeneous, with no nonzero component
+    between generators of equal shift, consecutive maps compose to zero
+    symbolically, and slice ranks match kernel dimensions up to dmax."""
     f, p = res.f, res.p
     if len(res.maps) != len(res.shifts) - 1 or any(
         len(vecs) != len(res.shifts[i + 1])
@@ -517,12 +564,18 @@ def verify_resolution(res: Resolution) -> bool:
         for i, vecs in enumerate(res.maps)
     ):
         return False
-    # minimal: no nonzero (scalar) component between generators of equal shift
-    if any(
-        c.terms and sh == target
+    # homogeneous and minimal: no shift has negative degree, and every term
+    # of a component from a generator of shift (e, u) to one of shift
+    # (e', u') has degree e - e' > 0 and character u - u'.  A nonzero
+    # component between equal shifts would be a scalar, and the ranks no
+    # Betti numbers.  Then every key of a slice up to dmax has exponents
+    # at most dmax, which the packed keys of `_PackedMap` need.
+    if any(e < 0 for row in res.shifts for e, _ in row) or any(
+        e == te or key_degree(key) != e - te or key_char(key) != _sub_char(u, tu)
         for i, vecs in enumerate(res.maps)
-        for sh, vec in zip(res.shifts[i + 1], vecs)
-        for c, target in zip(vec, res.shifts[i])
+        for (e, u), vec in zip(res.shifts[i + 1], vecs)
+        for c, (te, tu) in zip(vec, res.shifts[i])
+        for key in c.terms
     ):
         return False
     for i in range(1, len(res.maps)):
@@ -540,12 +593,15 @@ def verify_resolution(res: Resolution) -> bool:
     # (rank, column count) of maps[i] on each slice; map i is the upper
     # map at index i and the lower one at index i + 1
     ranks: dict[tuple[int, int, CharVec], tuple[int, int]] = {}
+    packed_maps: dict[int, _PackedMap] = {}
 
     def slice_rank(i: int, deg: int, w: CharVec) -> tuple[int, int]:
         if (i, deg, w) not in ranks:
-            cols = _map_matrix(
-                res.shifts[i + 1], res.maps[i], res.shifts[i], deg, w, f, p
-            )
+            if i not in packed_maps:
+                packed_maps[i] = _PackedMap(res.dmax, f, p)
+            pm = packed_maps[i]
+            index = pm.index(res.shifts[i], deg, w)
+            cols = pm.columns(zip(res.shifts[i + 1], res.maps[i]), deg, w, index)
             # a matrix and its transpose have the same rank
             ranks[(i, deg, w)] = rank_mod(cols, p), len(cols)
         return ranks[(i, deg, w)]
@@ -556,6 +612,8 @@ def verify_resolution(res: Resolution) -> bool:
                 low, nmid = slice_rank(i - 1, deg, w)
                 if nmid and slice_rank(i, deg, w)[0] != nmid - low:
                     return False
+        # map i - 1 is done with
+        packed_maps.pop(i - 1, None)
     return True
 
 

@@ -47,6 +47,7 @@ UNBOUNDED_MEMOS = {
     "weightcalc.homology.resolution._local_keys": "one factor's (degree, character) slices within the windows",
     "weightcalc.homology.resolution.slice_keys": "(f, degree, character) slices within the windows",
     "weightcalc.homology.resolution._char_range": "one entry per (f, degree budget)",
+    "weightcalc.homology.resolution._slice_parts": "(f, degree, character) slices within the windows, once per window's radix",
     "weightcalc.homology.pbw._local_product": "pairs of one-factor monomials within the windows, shared by every prime",
     "weightcalc.weights._check_star_contract": "one None per (f, j_rho)",
 }

@@ -679,13 +679,115 @@ class TestSliceBases:
 
 def _in_left_ideal(el, gens):
     """Whether a homogeneous element lies in the span of the algebra
-    multiples of the generators, ranked on its own slice."""
+    multiples of the generators, ranked on its own slice.  The multiples
+    are `PbwElement` products, their rows keyed by monomial."""
     f, p, deg, w = el.f, el.p, el.degree, el.char
-    index = {(0, key): i for i, key in enumerate(reso.slice_keys(f, deg, w))}
-    found = [((g.degree, g.char), (g,)) for g in gens]
-    rows = list(reso._multiples(found, deg, w, index, f, p))
-    row = {index[(0, key)]: c for key, c in el.terms.items()}
-    return rank_mod(rows + [row], p) == rank_mod(rows, p)
+    rows = [
+        (PbwElement(f, p, {m: 1}) * g).terms
+        for g in gens
+        for m in reso.slice_keys(f, deg - g.degree, tuple(a - b for a, b in zip(w, g.char)))
+    ]
+    return rank_mod(rows + [el.terms], p) == rank_mod(rows, p)
+
+
+def _assembly_matches(target, found, slices, dmax, f, p):
+    """Every column `_PackedMap.columns` assembles, on each slice in turn
+    with one map, equals the coordinates of the `PbwElement` products
+    m * v on the slice basis of the target shifts, keyed by (summand,
+    monomial)."""
+    packed = reso._PackedMap(dmax, f, p)
+    for deg, w in slices:
+        index = packed.index(target, deg, w)
+        cols = packed.columns(found, deg, w, index)
+        basis = [
+            (s, m)
+            for s, (e, u) in enumerate(target)
+            for m in reso.slice_keys(f, deg - e, tuple(a - b for a, b in zip(w, u)))
+        ]
+        pos = {bm: i for i, bm in enumerate(basis)}
+        expected = []
+        for (ge, gu), vec in found:
+            for m in reso.slice_keys(f, deg - ge, tuple(a - b for a, b in zip(w, gu))):
+                mono = PbwElement(f, p, {m: 1})
+                expected.append(
+                    {
+                        pos[(s, key)]: c
+                        for s, el in enumerate(vec)
+                        for key, c in (mono * el).terms.items()
+                    }
+                )
+        if len(index) != len(basis) or cols != expected:
+            return False
+    return True
+
+
+@st.composite
+def _assembly_cases(draw):
+    """Target shifts, homogeneous generator vectors between them and the
+    slices to assemble, within a window of degree dmax.  Each generator
+    has a term on a drawn summand, and each slice holds a multiple of a
+    drawn generator."""
+    f = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([29, 61]))
+    dmax = draw(st.integers(1, 6))
+    top = min(3, dmax)
+    local = st.tuples(st.integers(0, top), st.integers(0, top), st.integers(0, top // 2))
+    # a monomial of degree at most dmax, the unit in place of a larger one
+    unit = ((0, 0, 0),) * f
+    monomial = st.tuples(*[local] * f).map(
+        lambda key: key if key_degree(key) <= dmax else unit
+    )
+    char = st.tuples(*[st.integers(-2, 2)] * f)
+    target = tuple(
+        draw(st.lists(st.tuples(st.integers(0, 2), char), min_size=1, max_size=3))
+    )
+    found = []
+    for _ in range(draw(st.integers(1, 3))):
+        e0, u0 = draw(st.sampled_from(target))
+        k0 = draw(monomial)
+        ge = e0 + key_degree(k0)
+        gu = tuple(a + b for a, b in zip(u0, key_char(k0)))
+        vec = []
+        for e, u in target:
+            keys = reso.slice_keys(f, ge - e, tuple(a - b for a, b in zip(gu, u)))
+            terms = draw(
+                st.dictionaries(st.sampled_from(keys), st.integers(1, p - 1), max_size=3)
+                if keys
+                else st.just({})
+            )
+            vec.append(PbwElement(f, p, terms or ({k0: 1} if (e, u) == (e0, u0) else {})))
+        found.append(((ge, gu), tuple(vec)))
+    slices = []
+    for _ in range(draw(st.integers(1, 3))):
+        (ge, gu), _ = draw(st.sampled_from(found))
+        m = draw(monomial)
+        if ge + key_degree(m) <= dmax:
+            slices.append((ge + key_degree(m), tuple(a + b for a, b in zip(gu, key_char(m)))))
+    return target, found, slices, dmax, f, p
+
+
+class TestPackedAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(_assembly_cases())
+    def test_columns_are_pbw_products(self, case):
+        assert _assembly_matches(*case)
+
+    @pytest.mark.parametrize("dmax", [1, 2, 5])
+    @pytest.mark.parametrize("p", [29, 61])
+    def test_exponent_at_the_window_top(self, dmax, p):
+        # y^(dmax - 1) * y = y^dmax, an exponent equal to dmax, on the
+        # summand of degree 0, beside a summand of degree dmax whose basis
+        # is the unit; with radix dmax instead of dmax + 1 the two pack to
+        # one int at dmax = 1
+        target = ((0, (0,)), (dmax, (dmax,)))
+        found = [((1, (1,)), (_y(p=p), PbwElement.zero(1, p)))]
+        found.append(((dmax, (dmax,)), (_y(p=p, n=dmax), PbwElement.one(1, p).scale(3))))
+        assert _assembly_matches(target, found, [(dmax, (dmax,))], dmax, 1, p)
+        # the same at the second index of two, with an h-power multiplier
+        target = ((0, (0, 0)),)
+        found = [((1, (0, 1)), (_y(f=2, p=p, j=1),))]
+        slices = [(dmax, (0, dmax)), (dmax, (0, dmax - 2))]
+        assert _assembly_matches(target, found, slices, dmax, 2, p)
 
 
 class TestModuleGenerators:
@@ -1086,6 +1188,30 @@ class TestVerification:
             res, maps=(res.maps[0], tuple(vecs)) + res.maps[2:]
         )
         assert not reso.verify_resolution(broken)
+
+    @pytest.mark.parametrize(
+        "tags, with_in", [(("YZ",), True), (("Y",), True), (("Y", "Z"), False)]
+    )
+    def test_verify_rejects_a_dropped_top_generator(self, tags, with_in):
+        # the rest still composes to zero and stays homogeneous and minimal,
+        # so only the slice ranks see the kernel the generator covered
+        res = reso.module_resolution(tags, with_in, 29)
+        top = len(res.maps) - 1
+        for k in range(len(res.shifts[-1])):
+            shifts = res.shifts[:-1] + (res.shifts[-1][:k] + res.shifts[-1][k + 1 :],)
+            maps = res.maps[:top] + (res.maps[top][:k] + res.maps[top][k + 1 :],)
+            broken = dataclasses.replace(res, shifts=shifts, maps=maps)
+            assert not reso.verify_resolution(broken), (tags, with_in, k)
+
+    def test_verify_rejects_an_inhomogeneous_map(self):
+        # a top generator's shift moves down four degrees and its vector
+        # stays: it still composes to zero and has no component between
+        # equal shifts, but a multiple of it no longer lies in the slice
+        # that reads it
+        res = reso.module_resolution(("YZ",), True, 29)
+        (e, u), *rest = res.shifts[-1]
+        shifts = res.shifts[:-1] + (((e - 4, u), *rest),)
+        assert not reso.verify_resolution(dataclasses.replace(res, shifts=shifts))
 
     def test_euler_of_slices(self):
         # alternating sums of slice dimensions recover the quotient: the

@@ -35,63 +35,14 @@ from weightcalc.weights import (
 
 from reference import pss_to_p_projection
 
-# Tag bookkeeping that no `verify` check reads: weight tags and the index
-# subsets of one tuple.  Kept here with their tests until a change either
-# deletes them or states their claims as report checks.
+# Tag bookkeeping that no `verify` check reads: the index subsets of one
+# tuple.  Kept here with their tests until a change either deletes them or
+# states their claims as report checks.
 
 # Symbols whose indices belong to the large-family parameter subset.
 _XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
 # Symbols that always contribute to the restricted-family subset.
 _X_SYMBOLS = frozenset({S_X, S_PM3, S_PM2})
-
-
-@dataclass(frozen=True)
-class WeightTag:
-    """A weight named by bookkeeping data instead of a representation.
-
-    Two parametrizations coexist.  A subset `j` names a member of the
-    diagonal-family lattice directly.  A pair (`base`, `s`) names a
-    constituent of the induction from the character with difference
-    residue `base`; those tags satisfy the complement rule: conjugating
-    the inducing character complements the subset.
-    """
-
-    f: int
-    j: frozenset[int] | None = None
-    base: int | None = None
-    s: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.j is None) == (self.s is None):
-            raise ValueError("exactly one of j and s must be given")
-        if self.s is not None and self.base is None:
-            raise ValueError("an S-parametrized tag needs its base residue")
-        if self.j is not None and self.base is not None:
-            raise ValueError("a J-parametrized tag carries no base residue")
-        for name in ("j", "s"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            val = frozenset(val)
-            object.__setattr__(self, name, val)
-            if not val <= frozenset(range(self.f)):
-                raise ValueError(f"{name}={sorted(val)} not a subset of 0..{self.f - 1}")
-
-    @property
-    def length(self) -> int:
-        if self.j is None:
-            raise ValueError("length is defined for J-parametrized tags")
-        return len(self.j)
-
-    def conjugate(self, modulus: int) -> "WeightTag":
-        """The same weight seen inside the conjugate induction."""
-        if self.s is None:
-            raise ValueError("conjugation acts on S-parametrized tags")
-        return WeightTag(
-            self.f,
-            base=(-self.base) % modulus,
-            s=frozenset(range(self.f)) - self.s,
-        )
 
 
 @dataclass(frozen=True)
@@ -138,36 +89,6 @@ def all_jrho(f: int):
     for k in range(f + 1):
         for sub in itertools.combinations(range(f), k):
             yield frozenset(sub)
-
-
-class TestWeightTag:
-    def test_exactly_one_parametrization(self):
-        with pytest.raises(ValueError):
-            WeightTag(2)
-        with pytest.raises(ValueError):
-            WeightTag(2, j=frozenset({0}), s=frozenset({1}))
-        with pytest.raises(ValueError):
-            WeightTag(2, s=frozenset({1}))
-        with pytest.raises(ValueError):
-            WeightTag(2, j=frozenset({0}), base=3)
-        with pytest.raises(ValueError):
-            WeightTag(2, j=frozenset({5}))
-
-    def test_length(self):
-        assert WeightTag(3, j=frozenset({0, 2})).length == 2
-        with pytest.raises(ValueError):
-            WeightTag(3, base=1, s=frozenset()).length
-
-    def test_conjugate_complements_the_subset(self):
-        tag = WeightTag(3, base=5, s=frozenset({0, 2}))
-        conj = tag.conjugate(28)
-        assert conj.s == frozenset({1})
-        assert conj.base == 23
-        assert conj.conjugate(28) == tag
-
-    def test_conjugate_needs_s_parametrization(self):
-        with pytest.raises(ValueError):
-            WeightTag(2, j=frozenset()).conjugate(28)
 
 
 class TestParamSets:
