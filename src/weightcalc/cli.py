@@ -299,13 +299,17 @@ def _cmd_tor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = tuple(
-        s.strip() for s in args.suite.split(",")
-    ) if args.suite != "all" else tuple(SUITES)
+    j_rho = _parse_jrho(args.jrho)
+    if args.suite != "all":
+        suites = tuple(s.strip() for s in args.suite.split(","))
+    else:
+        # `split` applies only when every index is marked
+        split = j_rho == frozenset(range(args.f))
+        suites = tuple(n for n in SUITES if split or n != "split")
     config = RunConfig(
         f=args.f,
         p=args.p,
-        j_rho=_parse_jrho(args.jrho),
+        j_rho=j_rho,
         r=_parse_ints(args.r),
         suites=suites,
         max_degree=args.max_degree,
@@ -380,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run check suites and write a report")
     _add_param_args(p_verify)
     p_verify.add_argument(
-        "--suite", default="all", help="comma separated suite names, or 'all'"
+        "--suite",
+        default="all",
+        help="comma separated suite names, or 'all': every suite, and 'split' only "
+        "when every index is marked",
     )
     p_verify.add_argument("--max-degree", type=int, default=None)
     p_verify.add_argument("--out", default=None, help="write the JSON report here")

@@ -2,7 +2,7 @@
 
 A row is a dict {column: coefficient} of Python ints, so the arithmetic
 is exact for every prime.  The slice matrices of the resolution engine
-are a few percent nonzero, and the Taylor boundary matrices are small,
+are a few percent nonzero, and the Koszul boundary matrices are small,
 so one incremental sparse reducer (structured Gaussian elimination, as
 in Faugere and Lachartre, PASCO 2010) serves every rank, kernel and
 span computation.  The reducer keeps an echelon form, not a reduced

@@ -1,44 +1,34 @@
-"""Cohen-Macaulay certification via dualized Taylor complexes.
+"""Cohen-Macaulay certification of monomial quotients R/I, and the
+shellability check.
 
-For a monomial ideal with generators m_1..m_r in a polynomial ring,
-the Taylor complex on all 2^r generator subsets is a free resolution
-of the quotient.  Dualizing into the ring and fixing a multidegree
-leaves a complex of scalar matrices with entries 0, +-1 whose
-activity pattern depends only on a componentwise clamp of the
-multidegree.  Scanning the finite clamp grid therefore certifies the
-vanishing set of all Ext modules completely; per-total-degree
-dimensions follow from closed-form lattice-point counts over each
-clamp cell.
+R/I is Cohen-Macaulay iff pd R/I = ht I (Auslander-Buchsbaum), and
+since pd R/I >= ht I always, one Betti number decides it: beta_h(I)
+for h = ht I.  That number is read off the upper Koszul simplicial
+complexes at the lcms of the generators (Miller & Sturmfels, Thm 1.34),
+so the work is bounded by the lcm lattice and the 2^nvars faces, not by
+the 2^r generator subsets of a Taylor complex.  The module keeps its
+name, from the Taylor-complex engine it replaced, because the benchmark
+tracer names it as a layer.
 
-Activity patterns are int bitsets over the generator subsets (bit s for
-subset s), built from per-threshold masks.  Each pattern is an upper set
-of subsets, and its cohomology is ranked on that set directly.  The
-result is a pure function of (pattern, r, prime) and is memoized once
-per process, so ideals across configurations share their rankings.
-
-Each ideal's whole summary is memoized on a canonical form under the
-pair symmetries of the doubled ring: permuting the index pairs
-(y_j, z_j) and swapping y_j with z_j permutes the variables, which
-leaves every Ext module's vanishing and graded dimensions unchanged
-(Bruns & Herzog, Cohen-Macaulay Rings, 1.3), so isomorphic ideals share
-one certificate.
+Each verdict and height is memoized on a canonical form under the pair
+symmetries of the doubled ring: permuting the index pairs (y_j, z_j)
+and swapping y_j with z_j permutes the variables, which keeps the
+height and every Betti number, so isomorphic ideals share one
+certificate.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from operator import itemgetter
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import and_, itemgetter
 
 from weightcalc.homology.linalg import rank_mod
 from weightcalc.monomial import minimal_exponents
 
-GEN_CAP = 12
-GRID_CAP = 50_000
 # distinct inputs kept by each memo; `grid` needs 189 canonical forms,
-# 42 Ext summaries, 21 heights and 100 (pattern, r, prime) rankings
+# 42 verdicts (21 forms at two primes) and 21 heights
 _MEMO_SIZE = 4096
 
 
@@ -100,205 +90,67 @@ def _canonical_gens(
     return tuple(g for _, g in best)
 
 
-@dataclass(frozen=True)
-class ExtSummary:
-    """Certified vanishing data for Ext^i(R/I, R) over F_p."""
-
-    nvars: int
-    gens: tuple[tuple[int, ...], ...]
-    prime: int
-    zero_module: bool
-    inconclusive: bool
-    reason: str
-    nonzero_indices: tuple[int, ...]
-    degree_dims: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-    @property
-    def grade(self) -> int | None:
-        """Least nonvanishing index; None when everything vanishes."""
-        return self.nonzero_indices[0] if self.nonzero_indices else None
+def _faces(facets: list[int], k: int) -> list[int]:
+    """The k-vertex faces of the simplicial complex that the facets
+    generate, as sorted bitmasks over the variables."""
+    faces = set()
+    for facet in facets:
+        verts = [1 << v for v in range(facet.bit_length()) if facet >> v & 1]
+        faces.update(map(sum, itertools.combinations(verts, k)))
+    return sorted(faces)
 
 
-def _monomial_count(deg: int, nvars: int) -> int:
-    """Number of monomials of degree deg in nvars variables."""
-    if deg < 0:
-        return 0
-    return math.comb(deg + nvars - 1, nvars - 1) if nvars else int(deg == 0)
-
-
-def _subset_masks(gens, nvars: int) -> tuple[int, list[int], list[list[int]]]:
-    """Bitsets over the 2^r generator subsets, bit s for subset s.
-
-    `full` holds every subset, `without[i]` those that do not contain
-    generator i, and `reach[v][t]` those whose lcm has exponent at least
-    t in variable v, for t from 0 to one past the largest exponent
-    (where it is empty).
-    """
-    r = len(gens)
-    full = (1 << (1 << r)) - 1
-    # subsets containing generator i: runs of 2^i zeros, then 2^i ones
-    has = [full // ((1 << (1 << i)) + 1) << (1 << i) for i in range(r)]
-    reach = []
-    for v in range(nvars):
-        masks = [full]
-        for t in range(1, max((g[v] for g in gens), default=0) + 2):
-            m = 0
-            for g, h in zip(gens, has):
-                if g[v] >= t:
-                    m |= h
-            masks.append(m)
-        reach.append(masks)
-    return full, [full ^ h for h in has], reach
-
-
-def _boundary_matrix(
-    lower: list[int], upper: list[int], r: int
-) -> list[dict[int, int]]:
-    """Dual transition between active subset levels, as sparse rows with
-    entries +-1."""
+def _boundary_rank(lower: list[int], upper: list[int], prime: int) -> int:
+    """Rank of the simplicial boundary from the faces `upper` to the
+    faces `lower` of one vertex fewer: a face goes to the alternating sum
+    of the faces it keeps after dropping one vertex."""
     pos = {s: c for c, s in enumerate(lower)}
     rows = []
-    for sup in upper:
-        bits = [b for b in range(r) if sup >> b & 1]
-        row = {}
-        for t, b in enumerate(bits):
-            sub = sup ^ (1 << b)
-            col = pos.get(sub)
-            if col is not None:
-                row[col] = -1 if t % 2 else 1
-        rows.append(row)
-    return rows
-
-
-def _level_homology(sets: int, r: int, prime: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero cohomology dimensions, as (index, dimension) pairs, of the
-    dual complex restricted to a set of generator subsets, given as a
-    bitset and ranked directly.
-
-    The restriction is a complex when the set is an upper set (a
-    subcomplex) or a lower set (a quotient complex).
-    """
-    levels: list[list[int]] = [[] for _ in range(r + 1)]
-    for s, bit in enumerate(reversed(bin(sets)[2:])):
-        if bit == "1":
-            levels[s.bit_count()].append(s)
-    ranks = []
-    for k in range(r):
-        if not levels[k] or not levels[k + 1]:
-            ranks.append(0)
-            continue
-        ranks.append(rank_mod(_boundary_matrix(levels[k], levels[k + 1], r), prime))
-    out = []
-    for k in range(r + 1):
-        dim = len(levels[k])
-        h = dim - (ranks[k] if k < r else 0) - (ranks[k - 1] if k > 0 else 0)
-        if h:
-            out.append((k, h))
-    return tuple(out)
+    for face in upper:
+        drops = [face ^ 1 << v for v in range(face.bit_length()) if face >> v & 1]
+        rows.append({pos[d]: -1 if t % 2 else 1 for t, d in enumerate(drops)})
+    return rank_mod(rows, prime)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _pattern_homology(active: int, r: int, prime: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero cohomology dimensions of the dual complex on an active
-    upper set of generator subsets, given as a bitset.  Memoized per
-    process on the pattern, r and the prime.
+def _is_cm(
+    gens: tuple[tuple[int, ...], ...], nvars: int, height: int, prime: int
+) -> bool:
+    """Whether pd R/I = height, for the minimal generators of a monomial
+    ideal I of that height.
+
+    pd R/I >= ht I, so the quotient is Cohen-Macaulay iff its minimal
+    resolution stops at the height, i.e. the Betti number
+    beta_height(I) vanishes.  beta_(i,b)(I) = dim H~_(i-1)(K^b), where
+    K^b = {squarefree tau in supp b : x^(b - tau) in I} is the upper
+    Koszul complex, and it vanishes unless b is an lcm of generators
+    (Miller & Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
+    K^b is generated by the facets supp b minus {v : g_v = b_v}, one for
+    each generator g <= b.  It has no (height-1)-face, or is the full
+    simplex, when |supp b| <= height, and it is a cone when its maximal
+    facets share a vertex; only the other lcms are ranked.
     """
-    return _level_homology(active, r, prime)
-
-
-def _is_acyclic_cone(active: int, without: list[int]) -> bool:
-    """Cheap acyclicity certificate for one clamp cell.
-
-    The inactive subsets form a lower set; when it is closed under
-    adding some generator b it is a cone with apex b, its reduced
-    cohomology vanishes, and the active-part complex is exact.  Only
-    valid when the empty set is inactive, i.e. away from the all-zero
-    clamp.  Closure fails at b exactly when some subset s without b is
-    inactive while s + {b} is active; `without` is from `_subset_masks`.
-    """
-    if active & 1:
-        return False
-    inactive = ~active
-    return any(
-        not inactive & (active >> (1 << b)) & w for b, w in enumerate(without)
-    )
-
-
-def taylor_ext_ranks(gens, nvars: int, dmax: int = 0, prime: int = 29) -> ExtSummary:
-    """Certified Ext^i(R/I, R) vanishing set plus per-degree dimensions.
-
-    The clamp grid covers every multidegree, so nonzero_indices is the
-    exact set of nonvanishing homological indices.  Degree data is
-    reported for total degrees up to dmax.  Oversized inputs yield an
-    inconclusive summary, never a silent pass.  Computed once per
-    process for each canonical form (`_canonical_gens`) and prime; the
-    summary carries the caller's own normalized generators.
-    """
-    gens = _normalize_gens(gens, nvars)
-    summary = _ext_ranks(_canonical_gens(gens, nvars), nvars, dmax, prime)
-    return replace(summary, gens=gens)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _ext_ranks(
-    gens: tuple[tuple[int, ...], ...], nvars: int, dmax: int, prime: int
-) -> ExtSummary:
-    r = len(gens)
-    maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
-    grid_size = math.prod(m + 1 for m in maxexp)
-    zero_module = any(sum(g) == 0 for g in gens)
-    reason = ""
-    if zero_module:
-        reason = "unit ideal: zero module"
-    elif r > GEN_CAP:
-        reason = f"{r} generators exceed the cap {GEN_CAP}"
-    elif grid_size > GRID_CAP:
-        reason = f"clamp grid of size {grid_size} exceeds the cap {GRID_CAP}"
-    base = dict(
-        nvars=nvars,
-        gens=gens,
-        prime=prime,
-        zero_module=zero_module,
-        inconclusive=bool(reason) and not zero_module,
-        reason=reason,
-    )
-    if reason:
-        return ExtSummary(**base, nonzero_indices=(), degree_dims=())
-    full, without, reach = _subset_masks(gens, nvars)
-    # cells: map homological index -> list of (fixed degree sum, free coords, dim)
-    cells: dict[int, list[tuple[int, int, int]]] = {}
-    nonzero: set[int] = set()
-    for depths in itertools.product(*(range(m + 1) for m in maxexp)):
-        active = full
-        for masks, t in zip(reach, depths):
-            active &= masks[t]
-        if not active:
+    lattice, new = set(gens), set(gens)
+    while new:
+        new = {tuple(map(max, b, g)) for b in new for g in gens} - lattice
+        lattice |= new
+    for b in lattice:
+        support = [v for v in range(nvars) if b[v]]
+        if len(support) <= height:
             continue
-        # full active set = augmented simplex complex, exact for r >= 1
-        if r and active == full:
+        facets = {
+            sum(1 << v for v in support if g[v] < b[v])
+            for g in gens
+            if all(x <= y for x, y in zip(g, b))
+        }
+        facets = [s for s in facets if not any(s != t and s & t == s for t in facets)]
+        if reduce(and_, facets):
             continue
-        if _is_acyclic_cone(active, without):
-            continue
-        hom = _pattern_homology(active, r, prime)
-        if not hom:
-            continue
-        fixed = -sum(depths)
-        nfree = sum(1 for d in depths if d == 0)
-        for i, h in hom:
-            nonzero.add(i)
-            cells.setdefault(i, []).append((fixed, nfree, h))
-    indices = tuple(sorted(nonzero))
-    dmin = -sum(maxexp)
-    degree_dims = []
-    for i in indices:
-        per_degree: dict[int, int] = {}
-        for fixed, nfree, h in cells.get(i, []):
-            for deg in range(dmin, dmax + 1):
-                count = _monomial_count(deg - fixed, nfree)
-                if count:
-                    per_degree[deg] = per_degree.get(deg, 0) + h * count
-        degree_dims.append((i, tuple(sorted(per_degree.items()))))
-    return ExtSummary(**base, nonzero_indices=indices, degree_dims=tuple(degree_dims))
+        lower, mid, upper = (_faces(facets, k) for k in (height - 1, height, height + 1))
+        ranks = _boundary_rank(lower, mid, prime) + _boundary_rank(mid, upper, prime)
+        if len(mid) > ranks:
+            return False
+    return True
 
 
 def codim_of(gens, nvars: int) -> int | None:
@@ -326,25 +178,25 @@ def _codim(gens: tuple[tuple[int, ...], ...], nvars: int) -> int | None:
 
 @dataclass(frozen=True)
 class CmVerdict:
+    """Whether R/I is Cohen-Macaulay, and the height of I, which in a
+    polynomial ring is also its grade.  The unit ideal leaves the zero
+    module, with both None."""
+
     is_cm: bool | None
-    grade: int | None
     codim: int | None
     zero_module: bool
-    inconclusive: bool
-    ext: ExtSummary
 
 
 def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
-    """Cohen-Macaulay test: Ext vanishes away from a single index equal
-    to the codimension."""
-    ext = taylor_ext_ranks(gens, nvars, prime=prime)
-    if ext.zero_module:
-        return CmVerdict(None, None, None, True, False, ext)
-    if ext.inconclusive:
-        return CmVerdict(None, None, None, False, True, ext)
-    cd = codim_of(gens, nvars)
-    verdict = ext.nonzero_indices == (cd,)
-    return CmVerdict(verdict, ext.grade, cd, False, False, ext)
+    """Cohen-Macaulay test by Auslander-Buchsbaum: R/I is Cohen-Macaulay
+    iff pd R/I = ht I (Bruns & Herzog, Cohen-Macaulay Rings, 1.3).
+    Decided once per process for each canonical form (`_canonical_gens`)
+    and prime."""
+    codim = codim_of(gens, nvars)
+    if codim is None:
+        return CmVerdict(None, None, True)
+    gens = _canonical_gens(_normalize_gens(gens, nvars), nvars)
+    return CmVerdict(_is_cm(gens, nvars, codim, prime), codim, False)
 
 
 @dataclass(frozen=True)

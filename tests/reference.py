@@ -4,10 +4,11 @@ Nothing in `src/` imports this module: an oracle kept apart from the
 production path cannot drift into it.  Each function here states
 independently what a production routine computes, and stays uncached.
 
-- Taylor complexes (`homology.taylor`): the primal complex's exactness
-  at every clamp cell, and two inclusion-exclusion Euler
-  characteristics, one against a direct monomial count and one against
-  the dimensions in an `ExtSummary`.
+- Cohen-Macaulay verdicts (`homology.taylor`): Tor_i(R/I, k) in every
+  multidegree from the Taylor complex on the generator subsets, the
+  height by brute force over variable sets, and the exactness of that
+  Taylor complex itself; the Hilbert function by inclusion-exclusion
+  over the subsets, against a direct monomial count.
 - Monomial ideals (`monomial`): the Hilbert function of a quotient of
   two nested ideals, by direct count.
 - Weight tuples (`weights`): the cyclic index rotation, the entrywise
@@ -19,46 +20,11 @@ independently what a production routine computes, and stays uncached.
 from __future__ import annotations
 
 import itertools
+import math
 
-from weightcalc.homology.taylor import (
-    GEN_CAP,
-    ExtSummary,
-    _level_homology,
-    _monomial_count,
-    _normalize_gens,
-    _subset_masks,
-)
+from weightcalc.homology.linalg import rank_mod
 from weightcalc.monomial import Monomial, MonomialIdeal, signed_vectors
 from weightcalc.weights import S_PM1, S_PM3, S_X, S_X2, LambdaTuple, Params
-
-
-def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
-    """Independent validation of the Taylor machinery itself.
-
-    The primal complex must be exact in positive homological degrees at
-    every clamp cell, with bottom homology of dimension 1 exactly off
-    the ideal.
-    """
-    gens = _normalize_gens(gens, nvars)
-    if any(sum(g) == 0 for g in gens):
-        return True
-    r = len(gens)
-    if r > GEN_CAP:
-        raise ValueError("too many generators for the primal check")
-    maxexp = [max((g[v] for g in gens), default=0) for v in range(nvars)]
-    full, _, reach = _subset_masks(gens, nvars)
-    for top in itertools.product(*(range(m + 1) for m in maxexp)):
-        # subsets whose lcm is at most top: those exceeding it nowhere
-        above = 0
-        for masks, t in zip(reach, top):
-            above |= masks[t + 1]
-        active = full ^ above
-        in_ideal = any(all(g[v] <= top[v] for v in range(nvars)) for g in gens)
-        # the primal maps are the transposes of the dual ones, so the
-        # same ranks give the homology; ranked directly on the lower set
-        if _level_homology(active, r, prime) != (() if in_ideal else ((0, 1),)):
-            return False
-    return True
 
 
 def _subset_lcms(
@@ -71,23 +37,87 @@ def _subset_lcms(
     return lcms
 
 
-def _euler(sizes: list[int], nvars: int, deg: int) -> int:
-    """Inclusion-exclusion over generator subsets: the alternating sum,
-    by subset size, of the ring's dimension in degree deg - sizes[s],
-    where sizes[s] is the shift of subset s (|lcm| in the primal)."""
-    return sum(
-        (-1) ** s.bit_count() * _monomial_count(deg - size, nvars)
-        for s, size in enumerate(sizes)
+def _taylor_homology(subsets: list[int], prime: int) -> dict[int, int]:
+    """Nonzero homology dimensions, by subset size, of the Taylor complex
+    tensored with k on a set of generator subsets (bitmasks): a subset
+    goes to the alternating sum of the subsets of the set that drop one
+    of its generators."""
+    by_size: dict[int, list[int]] = {}
+    for s in subsets:
+        by_size.setdefault(s.bit_count(), []).append(s)
+
+    def rank(i: int) -> int:
+        lower, upper = by_size.get(i - 1, []), by_size.get(i, [])
+        pos = {s: c for c, s in enumerate(lower)}
+        rows = []
+        for s in upper:
+            drops = [s ^ 1 << b for b in range(s.bit_length()) if s >> b & 1]
+            rows.append({pos[d]: (-1) ** t for t, d in enumerate(drops) if d in pos})
+        return rank_mod(rows, prime)
+
+    dims = {i: len(group) - rank(i) - rank(i + 1) for i, group in by_size.items()}
+    return {i: d for i, d in dims.items() if d}
+
+
+def taylor_tor(gens, nvars: int, prime: int = 29) -> dict[tuple[int, ...], dict[int, int]]:
+    """Tor_i(R/I, k)_b over F_prime, as {b: {i: dim}} at every multidegree
+    b where some Tor is nonzero.  The Taylor complex resolves R/I, and its
+    degree-b part tensored with k has one basis element per generator
+    subset with lcm b, and keeps the boundary terms that do not lower
+    the lcm."""
+    by_lcm: dict[tuple[int, ...], list[int]] = {}
+    for s, b in enumerate(_subset_lcms(tuple(map(tuple, gens)), nvars)):
+        by_lcm.setdefault(b, []).append(s)
+    tor = {b: _taylor_homology(subsets, prime) for b, subsets in by_lcm.items()}
+    return {b: dims for b, dims in tor.items() if dims}
+
+
+def cm_by_taylor(gens, nvars: int, prime: int = 29) -> bool:
+    """Whether pd R/I = ht I, for a proper monomial ideal: pd from
+    `taylor_tor`, and the height as the fewest variables that meet every
+    generator."""
+    pd = max(i for dims in taylor_tor(gens, nvars, prime).values() for i in dims)
+    height = next(
+        k
+        for k in range(nvars + 1)
+        for chosen in itertools.combinations(range(nvars), k)
+        if all(any(g[v] for v in chosen) for g in gens)
     )
+    return pd == height
+
+
+def taylor_primal_check(gens, nvars: int, prime: int = 29) -> bool:
+    """Validation of the Taylor complex that `taylor_tor` ranks: in each
+    multidegree b up to the lcm of all generators, the subsets with lcm
+    at most b carry the whole complex, which is exact in positive sizes
+    and has H_0 of dimension 1 exactly off the ideal."""
+    gens = tuple(map(tuple, gens))
+    lcms = _subset_lcms(gens, nvars)
+    for b in itertools.product(*(range(t + 1) for t in lcms[-1])):
+        below = [s for s, c in enumerate(lcms) if all(x <= y for x, y in zip(c, b))]
+        in_ideal = any(all(x <= y for x, y in zip(g, b)) for g in gens)
+        if _taylor_homology(below, prime) != ({} if in_ideal else {0: 1}):
+            return False
+    return True
+
+
+def _monomial_count(deg: int, nvars: int) -> int:
+    """Number of monomials of degree deg in nvars variables."""
+    if deg < 0:
+        return 0
+    return math.comb(deg + nvars - 1, nvars - 1) if nvars else int(deg == 0)
 
 
 def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
     """Inclusion-exclusion Hilbert function against a direct monomial
-    count, per degree up to degmax."""
-    gens = _normalize_gens(gens, nvars)
-    sizes = [sum(row) for row in _subset_lcms(gens, nvars)]
+    count, per degree up to degmax: each generator subset counts the
+    ring's dimension in degree deg - |lcm|, signed by its size."""
+    sizes = [sum(row) for row in _subset_lcms(tuple(map(tuple, gens)), nvars)]
     for deg in range(degmax + 1):
-        euler = _euler(sizes, nvars, deg)
+        euler = sum(
+            (-1) ** s.bit_count() * _monomial_count(deg - size, nvars)
+            for s, size in enumerate(sizes)
+        )
         direct = 0
         for mono in itertools.combinations_with_replacement(range(nvars), deg):
             exp = [0] * nvars
@@ -96,27 +126,6 @@ def hilbert_euler_check(gens, nvars: int, degmax: int) -> bool:
             if not any(all(g[v] <= exp[v] for v in range(nvars)) for g in gens):
                 direct += 1
         if euler != direct:
-            return False
-    return True
-
-
-def ext_euler_check(summary: ExtSummary, dmax: int = 0) -> bool:
-    """Alternating Ext dimensions against the dual inclusion-exclusion
-    closed form, per degree."""
-    if summary.zero_module or summary.inconclusive:
-        raise ValueError("needs a conclusive nonzero summary")
-    nvars = summary.nvars
-    gens = summary.gens
-    # the dual complex shifts by +|lcm| where the primal shifts by -|lcm|
-    shifts = [-sum(row) for row in _subset_lcms(gens, nvars)]
-    dmin = -sum(max(g[v] for g in gens) for v in range(nvars)) if gens else 0
-    for deg in range(dmin, dmax + 1):
-        euler = _euler(shifts, nvars, deg)
-        from_ext = 0
-        for i, pairs in summary.degree_dims:
-            d = dict(pairs).get(deg, 0)
-            from_ext += -d if i % 2 else d
-        if euler != from_ext:
             return False
     return True
 

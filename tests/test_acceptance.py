@@ -153,7 +153,7 @@ def test_criterion_4_commutative_cm():
                 ideal = ideal_ijd(J1, J2, d, f) + type_ideal(tags)
                 certs += 1
                 v = grade_and_cm(ideal.lift_exponents(), nv)
-                if v.is_cm is not True or v.grade != f:
+                if v.is_cm is not True or v.codim != f:
                     problems.append(
                         f"product quotient f={f} J1={sorted(J1)} J2={sorted(J2)} d={d}"
                     )

@@ -35,8 +35,7 @@ SHARED_MEMOS = (
     "weightcalc.monomial._ideal_a1",
     "weightcalc.cycles.cycle_of",
     "weightcalc.homology.taylor._canonical_gens",
-    "weightcalc.homology.taylor._ext_ranks",
-    "weightcalc.homology.taylor._pattern_homology",
+    "weightcalc.homology.taylor._is_cm",
     "weightcalc.homology.taylor._codim",
     "weightcalc.homology.resolution._module_resolution",
     "weightcalc.suites._closed_form_counts",
@@ -76,7 +75,6 @@ def test_every_memo_is_bounded_or_allowed():
 def test_oracles_read_no_memo():
     # the independent checks must not share results with the code they check
     from weightcalc.cycles import cycle_of_subquotient, total_mult_formula
-    from weightcalc.homology import taylor
     from weightcalc.monomial import Monomial, MonomialIdeal
     from weightcalc.repmodel import _bottom_by_scan
     from weightcalc.weights import TTag
@@ -84,7 +82,6 @@ def test_oracles_read_no_memo():
     big = MonomialIdeal(2, (Monomial.y(0, 2), Monomial.z(1, 2)))
     small = MonomialIdeal(2, (Monomial((1, -1)),))
     gens = big.lift_exponents()
-    summary = taylor.taylor_ext_ranks(gens, 4, dmax=3)
     memos = _package_memos().values()
     for memo in memos:
         memo.cache_clear()
@@ -92,7 +89,7 @@ def test_oracles_read_no_memo():
     assert len(_bottom_by_scan(big, small)) == 2
     assert reference.taylor_primal_check(gens, 4)
     assert reference.hilbert_euler_check(gens, 4, 3)
-    assert reference.ext_euler_check(summary, 3)
+    assert reference.cm_by_taylor(gens, 4)
     assert total_mult_formula({0}, {1}, 1, (TTag.YZ, TTag.YZ), 2) == 1
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
@@ -267,27 +264,6 @@ class TestRun:
             assert "exactness recheck" in check.details
         assert all(c.status == "pass" for c in suite.checks[6:])
 
-    @pytest.mark.parametrize("cap", [1, 2])
-    def test_capped_certificate_is_inconclusive_not_fail(self, monkeypatch, cap):
-        from weightcalc.homology import taylor
-
-        monkeypatch.setattr(taylor, "GEN_CAP", cap)
-        # the Ext memo keys on the ideal, not the cap: no summary made
-        # under another cap may come in, and none made here may leave
-        taylor._ext_ranks.cache_clear()
-        try:
-            (suite,) = run(_config(f=2, j_rho=frozenset(), r=(7, 7), suites=("cm",))).suites
-        finally:
-            taylor._ext_ranks.cache_clear()
-        assert not [c for c in suite.checks if c.status == "fail"]
-        capped = [c for c in suite.checks if c.status == "inconclusive"]
-        assert capped
-        for check in capped:
-            assert f"exceed the cap {cap}" in check.details
-        tags = {c.id.split(".")[1] for c in capped}
-        assert {"product-ideal", "split-product", "negative-control"} <= tags
-        assert ("pure-pattern" in tags) == (cap == 1)
-
     def test_shared_memos_cover_their_inputs(self):
         # the package's memos are shared across configs; each config's
         # report must not depend on what ran before it, in either order
@@ -415,14 +391,23 @@ class TestMainVerify:
         assert "pass 20  fail 0  inconclusive 0" in captured.out
 
     def test_f5_cm_suite_finishes_without_fail(self, capsys):
-        # split ideals with more than GEN_CAP generators are inconclusive
+        # split ideals of up to 15 generators are decided, with no cap
         code = main(
             "verify --f 5 --p 61 --jrho none --r 20,20,20,20,20 --suite cm".split()
         )
         out = capsys.readouterr().out
-        assert code == 3
-        assert "fail 0" in out
-        assert "exceed the cap" in out
+        assert code == 0
+        assert out.strip().endswith("pass 172  fail 0  inconclusive 0")
+
+    def test_all_leaves_out_split_unless_every_index_is_marked(self, capsys):
+        code = main("verify --f 1 --p 61 --jrho none --r 13 --format json".split())
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "split" not in doc["config"]["suites"]
+        assert [s["name"] for s in doc["suites"]] == [n for n in SUITES if n != "split"]
+        code = main("verify --f 1 --p 61 --jrho none --r 13 --suite split".split())
+        assert code == 2
+        assert "split regime only" in capsys.readouterr().err
 
     def test_oversized_prime_is_refused_at_once(self, capsys):
         start = time.perf_counter()

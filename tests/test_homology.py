@@ -17,16 +17,23 @@ from weightcalc.homology.pbw import (
     key_degree,
 )
 from weightcalc.homology.taylor import (
+    CmVerdict,
     codim_of,
     grade_and_cm,
     shellability_check,
-    taylor_ext_ranks,
 )
 from weightcalc.homology import resolution as reso
 from weightcalc.homology import taylor
-from weightcalc.monomial import Monomial, MonomialIdeal, ideal_ijd, minimal_exponents
+from weightcalc.monomial import (
+    Monomial,
+    MonomialIdeal,
+    ideal_ijd,
+    minimal_exponents,
+    type_ideal,
+)
+from weightcalc.weights import TTag
 
-from reference import ext_euler_check, hilbert_euler_check, taylor_primal_check
+from reference import cm_by_taylor, hilbert_euler_check, taylor_primal_check, taylor_tor
 
 
 def lifted(f: int, monos) -> tuple[tuple[int, ...], ...]:
@@ -346,84 +353,83 @@ def _pair_ideals(draw):
     return f, gens, (perm, flips)
 
 
+def _criterion_4_ideals(f: int):
+    """Exponents of the criterion-4 product quotients: degree-d products
+    over every two-sided split, with a free type at the other indices."""
+    for assign in itertools.product(range(5), repeat=f):
+        J1 = frozenset(j for j, a in enumerate(assign) if a == 1)
+        J2 = frozenset(j for j, a in enumerate(assign) if a == 2)
+        tags = [{3: TTag.Y, 4: TTag.Z}.get(a, TTag.YZ) for a in assign]
+        for d in range(1, max(1, len(J1 | J2)) + 1):
+            yield (ideal_ijd(J1, J2, d, f) + type_ideal(tags)).lift_exponents()
+
+
 class TestTaylorExt:
+    """Cohen-Macaulay verdicts, against the Taylor-complex oracle."""
+
     def test_koszul_regular_sequence(self):
         for f in (1, 2):
             nv = 2 * f
             gens = [tuple(1 if i == k else 0 for i in range(nv)) for k in range(nv)]
-            s = taylor_ext_ranks(gens, nv)
-            assert s.nonzero_indices == (nv,)
-            assert s.grade == nv
-            assert grade_and_cm(gens, nv).is_cm is True
+            assert grade_and_cm(gens, nv) == CmVerdict(True, nv, False)
+            assert max(taylor_tor(gens, nv)[(1,) * nv]) == nv
 
     def test_principal_ideal_degrees(self):
-        s = taylor_ext_ranks([(2,)], 1)
-        assert s.nonzero_indices == (1,)
-        assert s.degree_dims == ((1, ((-2, 1), (-1, 1))),)
-        s = taylor_ext_ranks([(1, 1)], 2)
-        assert s.degree_dims == ((1, ((-2, 1), (-1, 2), (0, 2))),)
+        # Tor_0 in degree 0, Tor_1 in the generator's degree, and nothing else
+        for gens, nv in (([(2,)], 1), ([(1, 1)], 2)):
+            assert taylor_tor(gens, nv) == {(0,) * nv: {0: 1}, gens[0]: {1: 1}}
+            assert grade_and_cm(gens, nv) == CmVerdict(True, 1, False)
 
     def test_zero_ideal_is_the_free_module(self):
-        s = taylor_ext_ranks([], 2)
-        assert s.nonzero_indices == (0,)
-        assert s.degree_dims == ((0, ((0, 1),)),)
-        assert grade_and_cm([], 2).is_cm is True
+        assert taylor_tor([], 2) == {(0, 0): {0: 1}}
+        assert grade_and_cm([], 2) == CmVerdict(True, 0, False)
 
     def test_unit_ideal_flagged_separately(self):
-        s = taylor_ext_ranks([(0, 0)], 2)
-        assert s.zero_module
-        assert grade_and_cm([(0, 0)], 2).is_cm is None
+        assert grade_and_cm([(0, 0)], 2) == CmVerdict(None, None, True)
 
-    def test_generator_cap_is_inconclusive_never_pass(self):
-        # 17 pairwise incomparable generators on a 17 x 17 clamp grid,
-        # well under GRID_CAP, so the generator cap is what fires
+    def test_many_generators_are_decided(self):
+        # m^16 in two variables: 17 generators, Cohen-Macaulay of height 2
         gens = [(i, 16 - i) for i in range(17)]
-        s = taylor_ext_ranks(gens, 2)
-        assert s.inconclusive and s.nonzero_indices == ()
-        assert "17 generators" in s.reason
-        v = grade_and_cm(gens, 2)
-        assert v.inconclusive and v.is_cm is None
+        assert grade_and_cm(gens, 2) == CmVerdict(True, 2, False)
 
-    def test_grid_cap_is_inconclusive(self):
-        s = taylor_ext_ranks([(60, 60, 60)], 3)
-        assert s.inconclusive
+    def test_large_exponents_are_decided(self):
+        assert grade_and_cm([(60, 60, 60)], 3) == CmVerdict(True, 1, False)
 
     def test_pair_quotients_are_cm_all_tag_patterns(self):
         # one surviving variable or the product relation per index
         for f in (1, 2):
             for tags in itertools.product(ALL_TAGS, repeat=f):
-                exps = lifted(f, _type_monos(tags))
-                v = grade_and_cm(exps, 2 * f)
-                assert v.is_cm is True, (tags, v)
-                assert v.grade == f == v.codim
+                v = grade_and_cm(lifted(f, _type_monos(tags)), 2 * f)
+                assert v == CmVerdict(True, f, False), tags
 
     def test_degree_d_products_are_cm(self):
         for f in (1, 2, 3):
             for d in range(1, f + 1):
                 ideal = ideal_ijd(frozenset(), frozenset(range(f)), d, f)
-                exps = ideal.lift_exponents()
-                v = grade_and_cm(exps, 2 * f)
-                assert v.is_cm is True, (f, d)
-                assert v.grade == f
+                v = grade_and_cm(ideal.lift_exponents(), 2 * f)
+                assert v == CmVerdict(True, f, False), (f, d)
 
     def test_mixed_product_family_is_cm(self):
         # two product indices plus an unconstrained one with its own tag
         for d in (1, 2):
             ideal = ideal_ijd(frozenset({0}), frozenset({1}), d, 2)
             v = grade_and_cm(ideal.lift_exponents(), 4)
-            assert v.is_cm is True and v.grade == 2
+            assert v == CmVerdict(True, 2, False)
         for t2 in ALL_TAGS:
             monos = list(ideal_ijd(frozenset({0}), frozenset({1}), 2, 3).gens)
             monos += _type_monos(("YZ", "YZ", t2))
             v = grade_and_cm(lifted(3, monos), 6)
-            assert v.is_cm is True and v.grade == 3, t2
+            assert v == CmVerdict(True, 3, False), t2
 
     def test_non_pure_control_fails(self):
         gens = [(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)]
-        v = grade_and_cm(gens, 4)
-        assert v.is_cm is False
-        assert v.ext.nonzero_indices == (1, 3)
-        assert v.codim == 1
+        assert grade_and_cm(gens, 4) == CmVerdict(False, 1, False)
+        # pd 3: Tor_3 at the lcm of all three generators
+        assert max(i for dims in taylor_tor(gens, 4).values() for i in dims) == 3
+        # two planes through one point: pd 3, one more than the height
+        planes = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+        assert max(i for dims in taylor_tor(planes, 4).values() for i in dims) == 3
+        assert grade_and_cm(planes, 4) == CmVerdict(False, 2, False)
 
     def test_primal_exactness(self):
         cases = [
@@ -438,103 +444,96 @@ class TestTaylorExt:
         assert hilbert_euler_check([(1, 1), (2, 0)], 2, 7)
         assert hilbert_euler_check([(1, 0, 1, 0), (1, 1, 0, 0)], 4, 5)
 
-    def test_ext_euler(self):
-        for gens, nv in [
-            ([(1, 1)], 2),
-            ([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4),
-            (lifted(2, _type_monos(("Z", "Z"))), 4),
-        ]:
-            assert ext_euler_check(taylor_ext_ranks(gens, nv))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda nv: st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=7).map(
+                lambda gens: (nv, [g for g in gens if any(g)])
+            )
+        ),
+        st.sampled_from([2, 29]),
+    )
+    def test_random_ideals_certify_consistently(self, case, prime):
+        nv, gens = case
+        assert grade_and_cm(gens, nv, prime).is_cm == cm_by_taylor(gens, nv, prime)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_random_ideals_certify_consistently(self, data):
-        nv = data.draw(st.integers(1, 3))
-        ngens = data.draw(st.integers(1, 6))
-        gens = [
-            tuple(data.draw(st.integers(0, 2)) for _ in range(nv))
-            for _ in range(ngens)
-        ]
-        gens = [g for g in gens if sum(g)]
-        if not gens:
-            return
-        s = taylor_ext_ranks(gens, nv)
-        assert not s.inconclusive
-        # proper nonzero ideals never leave a copy of the ring behind
-        assert 0 not in s.nonzero_indices
-        assert s.nonzero_indices
-        assert s.grade <= codim_of(gens, nv)
-        assert taylor_primal_check(gens, nv)
-        assert ext_euler_check(s)
+    def test_suite_ideals_agree_with_the_taylor_oracle(self, monkeypatch):
+        # every ideal the cm suite certifies at f <= 4, the negative control
+        # among them, and the criterion-4 product quotients
+        from weightcalc import suites
+        from weightcalc.cli import RunConfig, run
+
+        def canonical(gens, nv):
+            return taylor._canonical_gens(taylor._normalize_gens(gens, nv), nv), nv
+
+        seen = set()
+        real = suites.grade_and_cm
+
+        def record(gens, nvars, prime=29):
+            seen.add(canonical(gens, nvars))
+            return real(gens, nvars, prime)
+
+        monkeypatch.setattr(suites, "grade_and_cm", record)
+        for f in (1, 2, 3, 4):
+            r = tuple(13 + 3 * j for j in range(f))
+            run(RunConfig(f=f, p=61, j_rho=frozenset(), r=r, suites=("cm",)))
+            seen.update(canonical(gens, 2 * f) for gens in _criterion_4_ideals(f))
+        assert canonical([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4) in seen
+        for gens, nv in seen:
+            for prime in (2, 29):
+                assert grade_and_cm(gens, nv, prime).is_cm == cm_by_taylor(gens, nv, prime)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_cone_certificate_is_sound(self, data):
-        nv = data.draw(st.integers(1, 3))
-        r = data.draw(st.integers(1, 5))
-        gens = [
-            tuple(data.draw(st.integers(0, 2)) for _ in range(nv))
-            for _ in range(r)
-        ]
-        # the active sets and masks are built here directly from subset
-        # lcms, not through the clamp masks of the scan
-        lcm = [
-            [
-                max((g[v] for i, g in enumerate(gens) if s >> i & 1), default=0)
-                for v in range(nv)
-            ]
-            for s in range(1 << r)
-        ]
-        without = [
-            sum(1 << s for s in range(1 << r) if not s >> b & 1) for b in range(r)
-        ]
-        for depths in itertools.product(range(3), repeat=nv):
-            active = sum(
-                1 << s
-                for s in range(1 << r)
-                if all(lcm[s][v] >= depths[v] for v in range(nv))
-            )
-            if taylor._is_acyclic_cone(active, without):
-                assert taylor._pattern_homology(active, r, 29) == (), (gens, depths)
-
+        # facets through one vertex make a cone: every reduced homology
+        # group the engine ranks must vanish
+        nv = data.draw(st.integers(1, 5))
+        apex = 1 << data.draw(st.integers(0, nv - 1))
+        facets = data.draw(st.lists(st.integers(0, (1 << nv) - 1), min_size=1, max_size=5))
+        facets = [s | apex for s in facets]
+        for k in range(1, nv + 1):
+            lower, mid, upper = (taylor._faces(facets, n) for n in (k - 1, k, k + 1))
+            ranks = taylor._boundary_rank(lower, mid, 29) + taylor._boundary_rank(mid, upper, 29)
+            assert len(mid) == ranks, (facets, k)
 
     def test_pattern_memo_keys_on_the_prime(self, monkeypatch):
-        # these +-1 complexes have the same ranks at every prime used here,
-        # so a rank function that reads the prime shows what the key holds
+        # (y0 y1, z0 z1) ranks two disjoint edges at the lcm of both; a rank
+        # function that reads the prime shows what the key holds
         monkeypatch.setattr(
             taylor, "rank_mod", lambda rows, p: 0 if p == 5 else rank_mod(rows, p)
         )
-        active = 0b11101000  # the subsets of 3 generators with at least 2
-        taylor._pattern_homology.cache_clear()
+        taylor._is_cm.cache_clear()
         try:
-            at = {p: taylor._pattern_homology(active, 3, p) for p in (29, 5)}
+            at = {p: grade_and_cm([(1, 1, 0, 0), (0, 0, 1, 1)], 4, p).is_cm for p in (29, 5)}
         finally:
-            taylor._pattern_homology.cache_clear()
-        assert at == {29: ((2, 2),), 5: ((2, 3), (3, 1))}
+            taylor._is_cm.cache_clear()
+        assert at == {29: True, 5: False}
 
     def test_no_generators_keep_the_direct_side(self):
-        # r = 0: the only subset is the empty one, and the complex on it is
-        # not exact
-        for prime in (5, 29, LARGE_P):
-            assert taylor._pattern_homology(1, 0, prime) == ((0, 1),)
-            assert taylor._pattern_homology(0, 0, prime) == ()
+        # r = 0: the zero ideal, whose quotient is the ring itself, free and
+        # Cohen-Macaulay of height 0 at every prime
         for nv in (1, 2, 3):
-            s = taylor_ext_ranks([], nv)
-            assert s.nonzero_indices == (0,)
-            assert s.degree_dims == ((0, ((0, 1),)),)
+            assert taylor_tor([], nv) == {(0,) * nv: {0: 1}}
+            for prime in (5, 29, LARGE_P):
+                assert grade_and_cm([], nv, prime) == CmVerdict(True, 0, False)
 
     @settings(max_examples=60, deadline=None)
-    @given(_pair_ideals(), st.integers(0, 2), st.sampled_from([5, 29]))
-    def test_symmetric_ideals_share_exact_summaries(self, case, dmax, prime):
+    @given(_pair_ideals(), st.sampled_from([5, 29]))
+    def test_symmetric_ideals_share_exact_summaries(self, case, prime):
         f, gens, g = case
         nv = 2 * f
         moved = _act(gens, *g, f)
         # the memo holds I's class, and g.I is served from it
-        taylor_ext_ranks(gens, nv, dmax, prime)
-        got = taylor_ext_ranks(moved, nv, dmax, prime)
+        grade_and_cm(gens, nv, prime)
         own = taylor._normalize_gens(moved, nv)
-        assert got == taylor._ext_ranks.__wrapped__(own, nv, dmax, prime)
-        assert got.gens == own
+        codim = taylor._codim.__wrapped__(own, nv)
+        expected = (
+            CmVerdict(None, None, True)
+            if codim is None
+            else CmVerdict(taylor._is_cm.__wrapped__(own, nv, codim, prime), codim, False)
+        )
+        assert grade_and_cm(moved, nv, prime) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(_pair_ideals())
@@ -556,25 +555,26 @@ class TestTaylorExt:
         )
 
     def test_f4_cm_suite_certifies_once_per_class(self, monkeypatch):
+        from weightcalc import suites
         from weightcalc.cli import RunConfig, run
 
         seen = set()
-        real = taylor.taylor_ext_ranks
+        real = suites.grade_and_cm
 
-        def record(gens, nvars, dmax=0, prime=29):
-            seen.add((taylor._normalize_gens(gens, nvars), nvars, dmax, prime))
-            return real(gens, nvars, dmax, prime)
+        def record(gens, nvars, prime=29):
+            seen.add((taylor._normalize_gens(gens, nvars), nvars, prime))
+            return real(gens, nvars, prime)
 
-        monkeypatch.setattr(taylor, "taylor_ext_ranks", record)
+        monkeypatch.setattr(suites, "grade_and_cm", record)
         config = RunConfig(
             f=4, p=61, j_rho=frozenset(), r=(13, 16, 19, 22), suites=("cm",)
         )
-        taylor._ext_ranks.cache_clear()
+        taylor._is_cm.cache_clear()
         try:
             run(config)
-            misses = taylor._ext_ranks.cache_info().misses
+            misses = taylor._is_cm.cache_info().misses
         finally:
-            taylor._ext_ranks.cache_clear()
+            taylor._is_cm.cache_clear()
         # classes by brute force over the whole group, away from the memo
         classes = {
             (
@@ -583,12 +583,12 @@ class TestTaylorExt:
                     for h in _pair_group(nv // 2)
                 ),
                 nv,
-                dmax,
                 prime,
             )
-            for gens, nv, dmax, prime in seen
+            for gens, nv, prime in seen
         }
         assert misses <= len(classes) < len(seen)
+
 
 class TestCodim:
     def test_frozen_values(self):

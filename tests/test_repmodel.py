@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import pytest
 
@@ -16,67 +15,14 @@ from weightcalc.repmodel import (
     subquot_char_identity,
 )
 from weightcalc.weights import (
-    S_PM2,
-    S_PM3,
-    S_X,
-    S_X1,
-    LambdaTuple,
     Params,
-    TTag,
     enumerate_d,
     enumerate_dss,
     enumerate_p,
     enumerate_pss,
-    from_symbols,
     j_set,
     star_involution,
-    t_type,
 )
-
-from reference import pss_to_p_projection
-
-# Tag bookkeeping that no `verify` check reads: the index subsets of one
-# tuple.  Kept here with their tests until a change either deletes them or
-# states their claims as report checks.
-
-# Symbols whose indices belong to the large-family parameter subset.
-_XSS_SYMBOLS = frozenset({S_X, S_X1, S_PM3, S_PM2})
-# Symbols that always contribute to the restricted-family subset.
-_X_SYMBOLS = frozenset({S_X, S_PM3, S_PM2})
-
-
-@dataclass(frozen=True)
-class ParamSets:
-    """The index subsets attached to one tuple.
-
-    `xss` is defined for every member of the full family; the other
-    three require membership in the restricted family and are None
-    otherwise.
-    """
-
-    xss: frozenset[int]
-    x: frozenset[int] | None
-    y: frozenset[int] | None
-    z: frozenset[int] | None
-
-
-def param_sets(lam: LambdaTuple, params: Params) -> ParamSets:
-    if not lam.in_pss():
-        raise ValueError(f"{lam} does not satisfy the adjacency conditions")
-    ent = lam.entries
-    xss = frozenset(j for j, s in enumerate(ent) if s in _XSS_SYMBOLS)
-    if not lam.in_p(params.j_rho):
-        return ParamSets(xss, None, None, None)
-    x = frozenset(
-        j
-        for j, s in enumerate(ent)
-        if s in _X_SYMBOLS or (s == S_X1 and j in params.j_rho)
-    )
-    tags = t_type(lam, params)
-    y = frozenset(j for j, t in enumerate(tags) if t is not TTag.Y)
-    z = frozenset(j for j, t in enumerate(tags) if t is not TTag.Z)
-    return ParamSets(xss, x, y, z)
-
 
 R_BY_F = {1: (6,), 2: (6, 16), 3: (6, 16, 7), 4: (6, 16, 7, 17)}
 
@@ -89,63 +35,6 @@ def all_jrho(f: int):
     for k in range(f + 1):
         for sub in itertools.combinations(range(f), k):
             yield frozenset(sub)
-
-
-class TestParamSets:
-    def test_single_index_base_point(self):
-        ps = param_sets(from_symbols("x"), make_params(1, {0}))
-        assert ps.x == frozenset({0})
-        assert ps.y == frozenset({0})
-        assert ps.z == frozenset()
-
-    def test_constant_tuple_fills_the_large_set(self):
-        for f in (1, 2, 3):
-            lam = LambdaTuple((0,) * f)
-            ps = param_sets(lam, make_params(f, set()))
-            assert ps.xss == frozenset(range(f))
-
-    def test_type_complement_structure(self):
-        # indices outside y carry the y-type, outside z the z-type, and
-        # the overlap is exactly the product type
-        for f in (1, 2):
-            for jr in all_jrho(f):
-                prm = make_params(f, jr)
-                for lam in enumerate_p(prm):
-                    ps = param_sets(lam, prm)
-                    tags = t_type(lam, prm)
-                    assert ps.y == frozenset(
-                        j for j, t in enumerate(tags) if t is not TTag.Y
-                    )
-                    assert ps.z == frozenset(
-                        j for j, t in enumerate(tags) if t is not TTag.Z
-                    )
-                    assert ps.y | ps.z == frozenset(range(f))
-                    assert ps.y & ps.z == frozenset(
-                        j for j, t in enumerate(tags) if t is TTag.YZ
-                    )
-
-    def test_restricted_sets_absent_outside_the_family(self):
-        prm = make_params(1, set())
-        ps = param_sets(from_symbols("x+2"), prm)
-        assert ps.xss == frozenset()
-        assert ps.x is None and ps.y is None and ps.z is None
-
-    def test_rejects_non_members(self):
-        with pytest.raises(ValueError):
-            param_sets(from_symbols("x+1"), make_params(1, {0}))
-
-    def test_projection_sandwich(self):
-        # the restricted-family subset of the projection interlocks with
-        # the large-family subset of the original tuple
-        for f in (1, 2, 3):
-            for jr in all_jrho(f) if f <= 2 else [frozenset({0})]:
-                prm = make_params(f, jr)
-                for lam in enumerate_pss(prm):
-                    mu, J1, J2 = pss_to_p_projection(lam, prm)
-                    x = param_sets(mu, prm).x
-                    xss = param_sets(lam, prm).xss
-                    assert not (x & J1)
-                    assert (x | J1) <= (xss | J2)
 
 
 class TestLattice:
