@@ -16,11 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from weightcalc.cycles import cycle_of
-from weightcalc.homology.resolution import (
-    minimal_resolution,
-    module_generators,
-    verify_resolution,
-)
+from weightcalc.homology.resolution import module_resolution
+
+# Unused here: bench/test_trace_counts.py checks that the benchmark's
+# tracer patches this copied binding, and moving it waits for a benchmark
+# change (ROADMAP open item 9).
+from weightcalc.homology.resolution import minimal_resolution  # noqa: F401
 from weightcalc.monomial import MonomialIdeal, hilbert_function, ideal_a, ideal_a1
 from weightcalc.suites import SUITES, Check, suite_genericity
 from weightcalc.weights import (
@@ -270,25 +271,15 @@ def _cmd_tor(args) -> int:
         if t not in ("Y", "Z", "YZ"):
             raise ConfigError(f"unknown type tag {t!r}; expected Y, Z, or YZ")
     require_prime(args.p)
-    f = len(tags)
-    imax = (3 if args.full else 2) * f
-    dmax = args.max_degree
-    if dmax is None:
-        # the cube-deformed quotients end in degree t = 2f, and every
-        # generator lies at or below t + 4f (`Resolution.complete`); a
-        # larger t leaves `complete` null rather than cutting the table
-        dmax = 6 * f if args.full else 2 * imax + 2
-    gens = module_generators(tags, args.full, args.p)
-    res = minimal_resolution(gens, imax, dmax, args.p, f)
-    table = res.betti()
-    complete = res.complete(imax)
+    tor = module_resolution(tags, args.full, args.p, args.max_degree)
+    table, complete = tor.table, tor.complete
     doc = {
         "tags": list(tags),
         "cube_deformed": args.full,
         "rows": [[[e, list(c)] for e, c in row] for row in table.rows],
         "dims": list(table.dims()),
         "complete": complete,
-        "verified": verify_resolution(res),
+        "verified": tor.verified,
     }
     lines = [f"tags = {tags}, cube-deformed = {args.full}"]
     for i, row in enumerate(table.rows):

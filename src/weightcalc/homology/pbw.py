@@ -145,27 +145,6 @@ class PbwElement:
                         del out[key]
         return PbwElement(self.f, self.p, out)
 
-    def twisted(self, read: tuple[int, ...], flips: frozenset[int]) -> "PbwElement":
-        """Image under an algebra automorphism: index j of the image reads
-        index read[j] of self, then sigma_j acts at every j in flips.
-
-        sigma_j swaps y_j and z_j and negates h_j, which preserves
-        z y = y z - h, so it sends y^a z^b h^c to (-1)^c z^a y^b h^c; the
-        product rule puts z^a * y^b h^c back into normal form.
-        """
-        out: dict[MonoKey, int] = {}
-        for key, c in self.terms.items():
-            moved = [key[i] for i in read]
-            left = tuple((0, t[0], 0) if j in flips else t for j, t in enumerate(moved))
-            right = tuple(
-                (t[1], 0, t[2]) if j in flips else (0, 0, 0) for j, t in enumerate(moved)
-            )
-            if sum(moved[j][2] for j in flips) % 2:
-                c = -c
-            for k, v in multiply_keys(left, right, self.p).items():
-                out[k] = (out.get(k, 0) + c * v) % self.p
-        return PbwElement(self.f, self.p, out)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PbwElement)

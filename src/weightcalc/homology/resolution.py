@@ -33,9 +33,12 @@ reaches the bound of the level after the last.  The exactness recheck
 rebuilds every slice map from the finished resolution on its own and
 ranks each slice once, up to the whole window, so it confirms on its
 own every slice the loop skipped; it also rejects a non-minimal map.
-The suites share resolutions through a bounded memo keyed on the
-module's symmetry class, so one verify run resolves each class once in
-each window and carries it to the rest of the class by an automorphism.
+The suites and the `tor` subcommand read Betti tables through one
+entry point, `module_resolution`, which owns the default window and
+memoizes on the module's symmetry class: a process resolves each class
+once in each window, carries its table to the rest of the class by an
+automorphism, and rechecks the class's resolution once, only when a
+caller asks whether it is verified.
 """
 
 from __future__ import annotations
@@ -43,14 +46,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from weightcalc.homology.linalg import Row, rank_mod, span_and_kernel
 
 # Unused here: bench/test_trace_counts.py checks that the benchmark's
 # tracer patches this copied binding, and moving it waits for a benchmark
-# change (ROADMAP open item 6).
+# change (ROADMAP open item 9).
 from weightcalc.homology.linalg import nullspace_mod  # noqa: F401
 from weightcalc.homology.pbw import PbwElement, key_char, key_degree, multiply_keys
 
@@ -480,7 +483,8 @@ def minimal_resolution(gens, imax: int, dmax: int, p: int, f: int) -> Resolution
 # and the tor suite share in the default window; a tor suite in another
 # window adds its classes, and reads nothing they evict again.  Bounded,
 # so that a process running many configs holds no more than one run's
-# resolutions.
+# resolutions; their rechecks, of the four factor classes in a run, share
+# the bound.
 _MEMO_SIZE = 7
 
 
@@ -490,10 +494,10 @@ def _symmetry_class(
     """Representative of the tag pattern's class under index permutations
     and the twists sigma_j (y_j <-> z_j, h_j -> -h_j), which fix the tag
     YZ and the cubes and swap Y with Z: every Z becomes Y, then the
-    indices are sorted stably by tag.  Also returns the automorphism that carries the
-    representative's quotient to the pattern's, as the arguments of
-    `PbwElement.twisted`: index j of the pattern reads index read[j] of
-    the representative, then sigma_j acts at every j in flips."""
+    indices are sorted stably by tag.  Also returns the automorphism that
+    carries the representative's quotient to the pattern's: index j of
+    the pattern reads index read[j] of the representative, then sigma_j
+    acts at every j in flips."""
     plain = tuple("Y" if t == "Z" else t for t in tags)
     order = sorted(range(len(tags)), key=plain.__getitem__)
     read = tuple(order.index(j) for j in range(len(tags)))
@@ -501,46 +505,62 @@ def _symmetry_class(
     return tuple(plain[j] for j in order), read, flips
 
 
-def _twist_resolution(
-    res: Resolution, read: tuple[int, ...], flips: frozenset[int]
-) -> Resolution:
-    """The resolution's image under the automorphism of `PbwElement.twisted`:
-    an automorphism keeps degrees and exactness, moves the character
+def _twist_table(
+    table: BettiTable, read: tuple[int, ...], flips: frozenset[int]
+) -> BettiTable:
+    """The table's image under the automorphism of `_symmetry_class`: an
+    automorphism keeps degrees and exactness, moves the character
     components with the indices and negates the flipped ones."""
 
     def shift(sh: Shift) -> Shift:
         e, u = sh
         return e, tuple(-u[i] if j in flips else u[i] for j, i in enumerate(read))
 
-    return replace(
-        res,
-        shifts=tuple(tuple(map(shift, row)) for row in res.shifts),
-        maps=tuple(
-            tuple(tuple(el.twisted(read, flips) for el in vec) for vec in vecs)
-            for vecs in res.maps
-        ),
+    return BettiTable(
+        table.f, tuple(tuple(sorted(map(shift, row))) for row in table.rows)
     )
+
+
+@dataclass(frozen=True)
+class ModuleTor:
+    """The Betti table of one tag pattern's quotient in one window, and
+    whether the window certifies it complete (`Resolution.complete`)."""
+
+    table: BettiTable
+    complete: bool | None
+    # (representative, with_in, p, dmax) of the resolution read
+    source: tuple[tuple[str, ...], bool, int, int]
+
+    @property
+    def verified(self) -> bool:
+        """The exactness recheck of the class representative's
+        resolution, made once per process for each class and window."""
+        return _verified(*self.source)
 
 
 def module_resolution(
     tags: tuple[str, ...], with_in: bool, p: int, dmax: int | None = None
-) -> Resolution:
-    """Minimal resolution of the quotient for one tag pattern, out to index
-    2f for the plain quotients and 3f for the cube-deformed ones, and to
-    internal degree dmax.  The default window holds every reference table:
-    degree 4f + 2 for the plain quotients, 6f + 2 for the cube-deformed
-    ones.  Computed once per process for each symmetry class and window,
-    an explicit window equal to the default included, and carried to the
-    pattern by the automorphism between them.  The representative's own
-    result is shared between callers, which must not mutate it."""
-    if dmax is None:
-        dmax = 6 * len(tags) + 2 if with_in else 4 * len(tags) + 2
+) -> ModuleTor:
+    """Betti table of the quotient for one tag pattern, out to index 2f
+    for the plain quotients and 3f for the cube-deformed ones, and to
+    internal degree dmax.  The default window holds every reference
+    table: degree 4f + 2 for the plain quotients, and for the
+    cube-deformed ones, which end in degree t = 2f, the bound
+    t + D_(3f+1) = 6f that certifies `complete`.  Resolved once per
+    process for each symmetry class and window, an explicit window equal
+    to the default included, and the representative's table carried to
+    the pattern by the automorphism between them."""
     tags = tuple(tags)
+    f = len(tags)
+    if dmax is None:
+        dmax = 6 * f if with_in else 4 * f + 2
     rep, read, flips = _symmetry_class(tags)
     res = _module_resolution(rep, with_in, p, dmax)
-    if rep == tags:
-        return res
-    return _twist_resolution(res, read, flips)
+    return ModuleTor(
+        _twist_table(res.betti(), read, flips),
+        res.complete(3 * f if with_in else 2 * f),
+        (rep, with_in, p, dmax),
+    )
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -550,6 +570,11 @@ def _module_resolution(
     f = len(tags)
     imax = 3 * f if with_in else 2 * f
     return minimal_resolution(module_generators(tags, with_in, p), imax, dmax, p, f)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _verified(tags: tuple[str, ...], with_in: bool, p: int, dmax: int) -> bool:
+    return verify_resolution(_module_resolution(tags, with_in, p, dmax))
 
 
 def verify_resolution(res: Resolution) -> bool:

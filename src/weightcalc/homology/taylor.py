@@ -153,18 +153,10 @@ def _is_cm(
     return True
 
 
-def codim_of(gens, nvars: int) -> int | None:
-    """Height of a monomial ideal: smallest variable set meeting every
-    generator.  None for the unit ideal (by convention undefined here),
-    0 for the zero ideal.  Computed once per process for each canonical
-    form (`_canonical_gens`): the pair symmetries permute the variables,
-    which keeps the height."""
-    gens = _normalize_gens(gens, nvars)
-    return _codim(_canonical_gens(gens, nvars), nvars)
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _codim(gens: tuple[tuple[int, ...], ...], nvars: int) -> int | None:
+    """Height of a monomial ideal: smallest variable set meeting every
+    generator.  None for the unit ideal, 0 for the zero ideal."""
     if any(sum(g) == 0 for g in gens):
         return None
     support = sorted({v for g in gens for v in range(nvars) if g[v]})
@@ -190,12 +182,13 @@ class CmVerdict:
 def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
     """Cohen-Macaulay test by Auslander-Buchsbaum: R/I is Cohen-Macaulay
     iff pd R/I = ht I (Bruns & Herzog, Cohen-Macaulay Rings, 1.3).
-    Decided once per process for each canonical form (`_canonical_gens`)
-    and prime."""
-    codim = codim_of(gens, nvars)
+    The height and the verdict are decided once per process for each
+    canonical form (`_canonical_gens`), the verdict also per prime: the
+    pair symmetries permute the variables, which keeps both."""
+    gens = _canonical_gens(_normalize_gens(gens, nvars), nvars)
+    codim = _codim(gens, nvars)
     if codim is None:
         return CmVerdict(None, None, True)
-    gens = _canonical_gens(_normalize_gens(gens, nvars), nvars)
     return CmVerdict(_is_cm(gens, nvars, codim, prime), codim, False)
 
 

@@ -33,7 +33,6 @@ from weightcalc.homology.resolution import (
     BettiTable,
     expected_table,
     module_resolution,
-    verify_resolution,
     wedge_table,
 )
 from weightcalc.homology.taylor import CmVerdict, grade_and_cm, shellability_check
@@ -328,13 +327,13 @@ def check_factor_tables(
     tables = {}
     for t in ("Y", "Z", "YZ"):
         for full in (False, True):
-            res = module_resolution((t,), full, p)
-            computed, expected = res.betti(), expected_table((t,), full)
+            tor = module_resolution((t,), full, p)
+            computed, expected = tor.table, expected_table((t,), full)
             tables[((t,), full)] = computed
             problems = []
-            if computed.rows != expected.rows or res.next_kernel_empty is not True:
+            if computed.rows != expected.rows or tor.complete is not True:
                 problems.append(f"diff: {computed.diff(expected)}")
-            if not verify_resolution(res):
+            if not tor.verified:
                 problems.append("the resolution failed its exactness recheck")
             rec.add(
                 "factor-table",
@@ -350,14 +349,14 @@ def check_dual_shifts(rec: Recorder, f: int, p: int) -> None:
     against the predicted shift: a single summand of degree 3 per plain
     factor plus 4 per product factor, always between 3f and 4f."""
     for tags in itertools.product(("Y", "Z", "YZ"), repeat=f):
-        res = module_resolution(tags, False, p)
-        top = tuple(sorted(res.shifts[2 * f])) if len(res.shifts) > 2 * f else ()
+        tor = module_resolution(tags, False, p)
+        top = tor.table.row(2 * f)
         expected = 3 * f + tags.count("YZ")
         rec.add(
             "dual-top-shift",
             "the dual of the undeformed quotient concentrates in the predicted shift window",
             None
-            if res.next_kernel_empty is not True
+            if tor.complete is not True
             else [e for e, _ in top] == [expected],
             f"tags = {tags}: top shifts {top}, expected {expected}",
         )
@@ -626,7 +625,7 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
     family = enumerate_p(params)
     patterns = [tuple(t.value for t in t_type(lam, params)) for lam in family]
     tables = tuple(
-        module_resolution(tags, False, params.p, max_degree).betti() for tags in patterns
+        module_resolution(tags, False, params.p, max_degree).table for tags in patterns
     )
     reasons = []
     if max_degree is not None and max_degree < 4 * f:
@@ -650,7 +649,7 @@ def _suite_tor(params: Params, max_degree: int | None) -> list[Check]:
         for tags in sorted(set(patterns)):
             table = tables[patterns.index(tags)]
             if f == 1:
-                big, note = module_resolution(tags, True, params.p).betti(), ""
+                big, note = module_resolution(tags, True, params.p).table, ""
             else:
                 big = expected_table(tags, True)
                 note = " (deformed side composed from verified factors)"

@@ -38,6 +38,7 @@ SHARED_MEMOS = (
     "weightcalc.homology.taylor._is_cm",
     "weightcalc.homology.taylor._codim",
     "weightcalc.homology.resolution._module_resolution",
+    "weightcalc.homology.resolution._verified",
     "weightcalc.suites._closed_form_counts",
     "weightcalc.suites._shellable",
 )
@@ -253,16 +254,40 @@ class TestRun:
         assert alone and alone == tor_checks(tuple(SUITES))
 
     def test_failed_recheck_is_a_failed_check(self, monkeypatch):
-        from weightcalc import suites
+        from weightcalc.homology import resolution as reso
 
-        monkeypatch.setattr(suites, "verify_resolution", lambda res: False)
-        (suite,) = run(_config(suites=("resolutions",))).suites
+        monkeypatch.setattr(reso, "verify_resolution", lambda res: False)
+        reso._verified.cache_clear()
+        try:
+            (suite,) = run(_config(suites=("resolutions",))).suites
+        finally:
+            reso._verified.cache_clear()
         tags = [c.id.split(".")[1] for c in suite.checks]
         assert tags == ["factor-table"] * 6 + ["dual-top-shift"] * 3
         for check in suite.checks[:6]:
             assert check.status == "fail"
             assert "exactness recheck" in check.details
         assert all(c.status == "pass" for c in suite.checks[6:])
+
+    def test_each_class_rechecked_once_and_only_when_read(self, monkeypatch):
+        from weightcalc.homology import resolution as reso
+
+        calls = []
+        inner = reso.verify_resolution
+
+        def counted(res):
+            calls.append(res.shifts)
+            return inner(res)
+
+        monkeypatch.setattr(reso, "verify_resolution", counted)
+        reso._verified.cache_clear()
+        f2 = dict(f=2, p=61, j_rho=frozenset({0, 1}), r=(13, 16))
+        # the tor suite reads tables only
+        run(_config(**f2, suites=("tor",)))
+        assert calls == []
+        # the six factor tables form four classes, one recheck each
+        run(_config(**f2, suites=("resolutions",)))
+        assert len(calls) == 4
 
     def test_shared_memos_cover_their_inputs(self):
         # the package's memos are shared across configs; each config's
@@ -516,19 +541,39 @@ class TestSubcommands:
         assert doc["verified"] is True
 
     def test_tor_full_default_window_ends_at_the_degree_bound(self, capsys, monkeypatch):
-        resolve = cli.minimal_resolution
+        from weightcalc.homology import resolution as reso
+
+        resolve = reso.minimal_resolution
         windows = []
 
         def recorded(gens, imax, dmax, p, f):
             windows.append((imax, dmax))
             return resolve(gens, imax, dmax, p, f)
 
-        monkeypatch.setattr(cli, "minimal_resolution", recorded)
+        monkeypatch.setattr(reso, "minimal_resolution", recorded)
+        reso._module_resolution.cache_clear()
         assert main("tor --tags Y,Z --full --format json".split()) == 0
         doc = json.loads(capsys.readouterr().out)
         # top degree 4 plus the top degree 8 of the exterior algebra
         assert windows == [(6, 12)]
         assert doc["complete"] is True
+
+    def test_tor_resolves_once_per_symmetry_class(self, capsys, monkeypatch):
+        from weightcalc.homology import resolution as reso
+
+        calls = []
+        inner = reso.minimal_resolution
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(reso, "minimal_resolution", counted)
+        reso._module_resolution.cache_clear()
+        for tags in ("Y,Z", "Z,Y"):
+            assert main(f"tor --tags {tags} --full --max-degree 8".split()) == 0
+        # both patterns are twists of (Y, Y)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv, dmax, dims",

@@ -18,7 +18,6 @@ from weightcalc.homology.pbw import (
 )
 from weightcalc.homology.taylor import (
     CmVerdict,
-    codim_of,
     grade_and_cm,
     shellability_check,
 )
@@ -592,10 +591,10 @@ class TestTaylorExt:
 
 class TestCodim:
     def test_frozen_values(self):
-        assert codim_of([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4) == 1
-        assert codim_of([(1, 0), (0, 1)], 2) == 2
-        assert codim_of([], 3) == 0
-        assert codim_of([(0, 0, 0)], 3) is None
+        assert grade_and_cm([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4).codim == 1
+        assert grade_and_cm([(1, 0), (0, 1)], 2).codim == 2
+        assert grade_and_cm([], 3).codim == 0
+        assert grade_and_cm([(0, 0, 0)], 3).codim is None
 
     @settings(max_examples=60, deadline=None)
     @given(_pair_ideals())
@@ -604,9 +603,9 @@ class TestCodim:
         nv = 2 * f
         moved = _act(gens, *g, f)
         # the memo holds I's class, and g.I is served from it
-        codim_of(gens, nv)
+        grade_and_cm(gens, nv)
         own = taylor._normalize_gens(moved, nv)
-        assert codim_of(moved, nv) == taylor._codim.__wrapped__(own, nv)
+        assert grade_and_cm(moved, nv).codim == taylor._codim.__wrapped__(own, nv)
 
 
 class TestShellability:
@@ -860,13 +859,13 @@ class TestFactorTables:
     def test_all_factor_tables_match(self):
         for t in ALL_TAGS:
             for full in (False, True):
-                res = reso.module_resolution((t,), full, 29)
-                computed, expected = res.betti(), reso.expected_table((t,), full)
+                tor = reso.module_resolution((t,), full, 29)
+                computed, expected = tor.table, reso.expected_table((t,), full)
                 assert computed.rows == expected.rows, (t, full, computed.diff(expected))
-                assert res.next_kernel_empty is True, (t, full)
+                assert tor.complete is True, (t, full)
 
     def test_surviving_z_quotient_dims(self):
-        assert reso.module_resolution(("Z",), False, 29).betti().dims() == (1, 2, 1)
+        assert reso.module_resolution(("Z",), False, 29).table.dims() == (1, 2, 1)
 
     def test_small_window_is_inconclusive(self):
         from weightcalc.suites import _suite_tor
@@ -874,7 +873,7 @@ class TestFactorTables:
 
         # window 2 misses the degree-3 top generator, so the tor suite
         # must not certify the f = 1 tables from it
-        assert reso.module_resolution(("Z",), False, 29, 2).betti().dims() == (1, 2)
+        assert reso.module_resolution(("Z",), False, 29, 2).table.dims() == (1, 2)
         checks = _suite_tor(Params(1, 29, frozenset({0}), (13,)), 2)
         (dims,) = [c for c in checks if c.id.startswith("homology.tor-dims.")]
         assert dims.status == "inconclusive"
@@ -904,38 +903,38 @@ class TestFactorTables:
             # for every pattern of the class
             for dmax in range(4 * f + 6):
                 for tags in patterns:
-                    res = reso.module_resolution(tags, False, p, dmax)
+                    table = reso.module_resolution(tags, False, p, dmax).table
                     rows = [
                         tuple(sh for sh in row if sh[0] <= dmax)
-                        for row in defaults[tags].betti().rows
+                        for row in defaults[tags].table.rows
                     ]
                     while rows and not rows[-1]:
                         rows.pop()
-                    assert res.betti() == reso.BettiTable(f, tuple(rows)), (tags, dmax)
+                    assert table == reso.BettiTable(f, tuple(rows)), (tags, dmax)
 
     def test_undeformed_tables_are_exterior_powers(self):
         for t in ALL_TAGS:
-            table = reso.module_resolution((t,), False, 29).betti()
+            table = reso.module_resolution((t,), False, 29).table
             wedge = reso.wedge_table(table.rows[1], 2, 1)
             assert table.rows == wedge.rows
 
     def test_cube_quotient_breaks_the_exterior_pattern(self):
         # an extra second syzygy appears, so the wedge of row 1 overshoots
-        table = reso.module_resolution(("YZ",), True, 29).betti()
+        table = reso.module_resolution(("YZ",), True, 29).table
         wedge = reso.wedge_table(table.rows[1], 3, 1)
         assert table.rows[2] != wedge.rows[2]
 
     def test_undeformed_tor_embeds_in_cube_quotient_tor(self):
         for t in ALL_TAGS:
-            small = reso.module_resolution((t,), False, 29).betti()
-            big = reso.module_resolution((t,), True, 29).betti()
+            small = reso.module_resolution((t,), False, 29).table
+            big = reso.module_resolution((t,), True, 29).table
             for i in range(3):
                 a, b = Counter(small.row(i)), Counter(big.row(i))
                 assert all(a[k] <= b[k] for k in a), (t, i)
 
     def test_support_window(self):
         for t in ALL_TAGS:
-            table = reso.module_resolution((t,), False, 29).betti()
+            table = reso.module_resolution((t,), False, 29).table
             for i, row in enumerate(table.rows):
                 assert all(i <= e <= 2 * i or i == 0 for e, _ in row)
 
@@ -948,10 +947,10 @@ class TestFactorTables:
             (("Z", "YZ"), 7),
             (("YZ", "YZ"), 8),
         ]:
-            res = reso.module_resolution(tags, False, 29)
+            tor = reso.module_resolution(tags, False, 29)
             f = len(tags)
-            assert res.next_kernel_empty is True, tags
-            assert [e for e, _ in res.shifts[2 * f]] == [shift], tags
+            assert tor.complete is True, tags
+            assert [e for e, _ in tor.table.row(2 * f)] == [shift], tags
             assert 3 * f <= shift <= 4 * f
 
 
@@ -1009,56 +1008,20 @@ class TestTwoIndexResolutions:
         # undeformed quotient Tor dimensions depend only on the index count
         import math
 
-        dims = [reso.module_resolution((t,), False, 29).betti().dims() for t in ALL_TAGS]
+        dims = [reso.module_resolution((t,), False, 29).table.dims() for t in ALL_TAGS]
         assert tuple(map(sum, zip(*dims))) == tuple(3 * math.comb(2, i) for i in range(3))
 
 
-_SWAP = {"Y": "Z", "Z": "Y", "YZ": "YZ"}
-
-
-@st.composite
-def _automorphisms(draw):
-    """(f, p, read, flips) of one automorphism of `PbwElement.twisted`."""
-    f = draw(st.integers(1, 2))
-    p = draw(st.sampled_from([29, 61]))
-    read = tuple(draw(st.permutations(range(f))))
-    flips = frozenset(draw(st.sets(st.integers(0, f - 1))))
-    return f, p, read, flips
-
-
-def _elements(f, p):
-    local = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
-    term = st.tuples(st.tuples(*[local] * f), st.integers(1, p - 1))
-    return st.lists(term, max_size=3).map(lambda items: PbwElement(f, p, dict(items)))
+def _resolved(tags, with_in, p=29):
+    """The pattern's own resolution, in the default window of
+    `module_resolution`."""
+    f = len(tags)
+    gens = reso.module_generators(tags, with_in, p)
+    imax, dmax = (3 * f, 6 * f) if with_in else (2 * f, 4 * f + 2)
+    return reso.minimal_resolution(gens, imax, dmax, p, f)
 
 
 class TestSymmetryClasses:
-    def test_twist_on_generators(self):
-        p = 61
-        assert _y(f=2, p=p, j=1).twisted((0, 1), frozenset({1})) == _z(f=2, p=p, j=1)
-        assert _h(f=2, p=p, j=1).twisted((0, 1), frozenset({1})) == _h(f=2, p=p, j=1).scale(-1)
-        # index 0 of the image reads index 1
-        assert _y(f=2, p=p, j=1).twisted((1, 0), frozenset()) == _y(f=2, p=p, j=0)
-        # sigma(y z) = z y, straightened
-        assert (_y(p=p) * _z(p=p)).twisted((0,), frozenset({0})) == _z(p=p) * _y(p=p)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_twist_is_an_automorphism(self, data):
-        f, p, read, flips = data.draw(_automorphisms())
-        a, b = data.draw(_elements(f, p)), data.draw(_elements(f, p))
-        assert (a * b).twisted(read, flips) == a.twisted(read, flips) * b.twisted(read, flips)
-        identity = tuple(range(f))
-        for j in range(f):
-            assert a.twisted(identity, frozenset({j})).twisted(identity, frozenset({j})) == a
-        # the pattern's ideal lands in the twisted pattern's ideal
-        tags = tuple(data.draw(st.lists(st.sampled_from(ALL_TAGS), min_size=f, max_size=f)))
-        with_in = data.draw(st.booleans())
-        image = tuple(_SWAP[tags[i]] if j in flips else tags[i] for j, i in enumerate(read))
-        target = reso.module_generators(image, with_in, p)
-        for g in reso.module_generators(tags, with_in, p):
-            assert _in_left_ideal(g.twisted(read, flips), target), (tags, g)
-
     def test_class_representative(self):
         assert reso._symmetry_class(("Z",)) == (("Y",), (0,), frozenset({0}))
         # index 0 of (YZ, Z) reads index 1 of the representative (Y, YZ)
@@ -1069,23 +1032,21 @@ class TestSymmetryClasses:
         assert classes == {("Y", "Y"), ("Y", "YZ"), ("YZ", "YZ")}
 
     def test_transported_resolutions_equal_direct_ones(self):
-        # every f <= 2 pattern resolved on its own against the one carried
-        # from its class representative; the plain and f = 1 ones are
-        # rechecked, and the cube-deformed f = 2 representatives are
-        # rechecked by acceptance criterion 5
+        # every f <= 2 pattern resolved on its own against the table carried
+        # from its class representative; the plain and f = 1
+        # representatives are rechecked, and the cube-deformed f = 2 ones
+        # by acceptance criterion 5
         p = 29
         for f in (1, 2):
             for tags in itertools.product(ALL_TAGS, repeat=f):
                 for with_in in (False, True):
-                    res = reso.module_resolution(tags, with_in, p)
-                    gens = reso.module_generators(tags, with_in, p)
+                    tor = reso.module_resolution(tags, with_in, p)
+                    direct = _resolved(tags, with_in, p)
+                    assert tor.table == direct.betti(), (tags, with_in)
                     imax = 3 * f if with_in else 2 * f
-                    direct = reso.minimal_resolution(gens, imax, res.dmax, p, f)
-                    assert res.betti() == direct.betti(), (tags, with_in)
-                    assert res.next_kernel_empty == direct.next_kernel_empty, (tags, with_in)
-                    assert res.top_degree == direct.top_degree, (tags, with_in)
+                    assert tor.complete == direct.complete(imax), (tags, with_in)
                     if not with_in or f == 1:
-                        assert reso.verify_resolution(res), (tags, with_in)
+                        assert tor.verified, (tags, with_in)
 
 
 # Tor of the trivial module A/(y, z) at f = 1 is the homology of the
@@ -1155,10 +1116,10 @@ class TestDegreeBound:
 
 class TestVerification:
     def test_verify_accepts_computed(self):
-        assert reso.verify_resolution(reso.module_resolution(("YZ",), True, 29))
+        assert reso.verify_resolution(_resolved(("YZ",), True))
 
     def test_verify_rejects_tampering(self):
-        res = reso.module_resolution(("Y",), False, 29)
+        res = _resolved(("Y",), False)
         # shifting a presentation generator by a unit breaks the composition
         bad_gen = (res.maps[0][0][0] + PbwElement.one(res.f, res.p),)
         bad_maps = ((bad_gen,) + res.maps[0][1:],) + res.maps[1:]
@@ -1168,7 +1129,7 @@ class TestVerification:
     def test_verify_rejects_unit_component(self):
         # add a split summand A(-3) -> A(-3) with identity map: the complex
         # stays exact and composes to zero, but it is no longer minimal
-        res = reso.module_resolution(("Y",), False, 29)
+        res = _resolved(("Y",), False)
         zero, one = PbwElement.zero(res.f, res.p), PbwElement.one(res.f, res.p)
         shift = (3, (1,))
         shifts = (res.shifts[0], res.shifts[1] + (shift,), res.shifts[2] + (shift,))
@@ -1180,7 +1141,7 @@ class TestVerification:
     @pytest.mark.parametrize("k", [0, 1])
     def test_verify_rejects_short_vectors(self, k):
         # a level-2 vector missing its trailing (zero) component
-        res = reso.module_resolution(("YZ",), True, 29)
+        res = _resolved(("YZ",), True)
         vecs = list(res.maps[1])
         assert not vecs[k][-1].terms
         vecs[k] = vecs[k][:-1]
@@ -1195,7 +1156,7 @@ class TestVerification:
     def test_verify_rejects_a_dropped_top_generator(self, tags, with_in):
         # the rest still composes to zero and stays homogeneous and minimal,
         # so only the slice ranks see the kernel the generator covered
-        res = reso.module_resolution(tags, with_in, 29)
+        res = _resolved(tags, with_in)
         top = len(res.maps) - 1
         for k in range(len(res.shifts[-1])):
             shifts = res.shifts[:-1] + (res.shifts[-1][:k] + res.shifts[-1][k + 1 :],)
@@ -1208,7 +1169,7 @@ class TestVerification:
         # stays: it still composes to zero and has no component between
         # equal shifts, but a multiple of it no longer lies in the slice
         # that reads it
-        res = reso.module_resolution(("YZ",), True, 29)
+        res = _resolved(("YZ",), True)
         (e, u), *rest = res.shifts[-1]
         shifts = res.shifts[:-1] + (((e - 4, u), *rest),)
         assert not reso.verify_resolution(dataclasses.replace(res, shifts=shifts))
@@ -1216,7 +1177,7 @@ class TestVerification:
     def test_euler_of_slices(self):
         # alternating sums of slice dimensions recover the quotient: the
         # undeformed Y-pattern quotient is spanned by the z-powers
-        res = reso.module_resolution(("Y",), False, 29)
+        res = _resolved(("Y",), False)
         for deg in range(7):
             for w in range(-deg, deg + 1):
                 total = 0
