@@ -1,9 +1,13 @@
-"""Difference-exponent calculus for diagonal torus characters.
+"""Torus characters, compared by their difference exponents.
 
 A character of the finite torus is pinned down here only by the
 difference of its two digit-expansion exponents, reduced mod p**f - 1.
-That single residue is a complete invariant up to a determinant twist,
-which is out of scope throughout; every equality below is equality of
+`twisted_char` forms that residue for every comparison in the package:
+the character of lam twisted by the elementary characters alpha_j, where
+lam subtracts the p-adic weighting of its evaluated entries and alpha_j
+adds 2 p**j.
+The residue is a complete invariant up to a determinant twist, which is
+out of scope throughout; every equality below is equality of
 difference exponents, and the scan records rather than interprets the
 events where that distinction could matter.
 """
@@ -23,51 +27,24 @@ from weightcalc.weights import (
 )
 
 
-@dataclass(frozen=True)
-class DiffExponent:
-    """A residue mod p**f - 1, optionally remembering its digit vector."""
-
-    value: int
-    modulus: int
-    formal: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-        if self.formal is not None:
-            object.__setattr__(self, "formal", tuple(int(v) for v in self.formal))
-
-    def __add__(self, other: "DiffExponent") -> "DiffExponent":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return DiffExponent(self.value + other.value, self.modulus)
-
-    def __neg__(self) -> "DiffExponent":
-        return DiffExponent(-self.value, self.modulus)
-
-    def __sub__(self, other: "DiffExponent") -> "DiffExponent":
-        return self + (-other)
+def _residue(vec, p: int, mod: int) -> int:
+    """sum(vec_j p**j), reduced mod `mod`."""
+    return sum(v * p**j for j, v in enumerate(vec)) % mod
 
 
-def diff_of_lambda(lam: LambdaTuple, params: Params) -> DiffExponent:
-    """Sum of the evaluated entries weighted by powers of p, reduced.
+def twisted_char(lam: LambdaTuple, kvec: tuple[int, ...], params: Params) -> int:
+    """Difference exponent of lam**-1 * prod_j alpha_j**k_j, reduced
+    mod p**f - 1.
 
     Defined by pure evaluation; callers are expected to pass members of
     the full parameter family.
     """
-    if lam.f != params.f:
-        raise ValueError(f"tuple has f={lam.f}, params have f={params.f}")
+    if lam.f != params.f or len(kvec) != params.f:
+        raise ValueError(
+            f"tuple has f={lam.f} and k-vector length {len(kvec)}, params have f={params.f}"
+        )
     digits = lam.values(params)
-    total = sum(d * params.p**j for j, d in enumerate(digits))
-    return DiffExponent(total, params.q_minus_one, formal=digits)
-
-
-def kvec_diff(kvec: tuple[int, ...], params: Params) -> int:
-    """Residue of a formal product of elementary characters alpha_j**k_j."""
-    if len(kvec) != params.f:
-        raise ValueError("k-vector length mismatch")
-    return sum(2 * k * params.p**j for j, k in enumerate(kvec)) % params.q_minus_one
+    return _residue([2 * k - d for k, d in zip(kvec, digits)], params.p, params.q_minus_one)
 
 
 def digit_unique(a: tuple[int, ...], b: tuple[int, ...], p: int) -> bool:
@@ -86,18 +63,14 @@ def digit_unique(a: tuple[int, ...], b: tuple[int, ...], p: int) -> bool:
         raise ValueError(f"entries of a must lie in {{-1,0,1}}, got {a}")
     if sum(abs(bj) for bj in b) > sum(abs(aj) for aj in a):
         raise ValueError("sum |b_j| exceeds sum |a_j|")
-    f = len(a)
-    mod = p**f - 1
-    congruent = (
-        sum(aj * p**j for j, aj in enumerate(a))
-        - sum(bj * p**j for j, bj in enumerate(b))
-    ) % mod == 0
+    mod = p ** len(a) - 1
+    congruent = _residue(a, p, mod) == _residue(b, p, mod)
     return (not congruent) or tuple(a) == tuple(b)
 
 
 @dataclass(frozen=True)
 class CollisionHit:
-    """One solution of diff(lam) + sum 2 i_j p^j == diff(mu)."""
+    """One solution of twisted_char(lam, -i) == twisted_char(mu, 0)."""
 
     lam: LambdaTuple
     mu: LambdaTuple
@@ -138,17 +111,23 @@ def collision_scan(params: Params, m: int) -> ScanResult:
     """
     params.require_genericity(m + 1)
     family = enumerate_p(params)
-    diffs = {lam: diff_of_lambda(lam, params).value for lam in family}
+    zero = (0,) * params.f
+    chars = {lam: twisted_char(lam, zero, params) for lam in family}
+    by_char: dict[int, list[LambdaTuple]] = {}
+    for lam, c in chars.items():
+        by_char.setdefault(c, []).append(lam)
+    # twisted_char is additive in k, so alpha**-i moves every lam by the
+    # same residue
     mod = params.q_minus_one
-    by_diff: dict[int, list[LambdaTuple]] = {}
-    for lam, d in diffs.items():
-        by_diff.setdefault(d, []).append(lam)
+    steps = [
+        (ivec, _residue([-2 * ij for ij in ivec], params.p, mod))
+        for ivec in itertools.product(range(-m, m + 1), repeat=params.f)
+    ]
     hits: list[CollisionHit] = []
     for lam in family:
-        base = diffs[lam]
-        for ivec in itertools.product(range(-m, m + 1), repeat=params.f):
-            target = (base + sum(2 * ij * params.p**j for j, ij in enumerate(ivec))) % mod
-            for mu in by_diff.get(target, ()):
+        base = chars[lam]
+        for ivec, step in steps:
+            for mu in by_char.get((base + step) % mod, ()):
                 hits.append(CollisionHit(lam, mu, ivec))
     hits.sort(key=lambda h: (h.lam.entries, h.mu.entries, h.ivec))
     violations = tuple(h for h in hits if not h.classified(params))

@@ -176,7 +176,6 @@ class CmVerdict:
 
     is_cm: bool | None
     codim: int | None
-    zero_module: bool
 
 
 def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
@@ -188,8 +187,8 @@ def grade_and_cm(gens, nvars: int, prime: int = 29) -> CmVerdict:
     gens = _canonical_gens(_normalize_gens(gens, nvars), nvars)
     codim = _codim(gens, nvars)
     if codim is None:
-        return CmVerdict(None, None, True)
-    return CmVerdict(_is_cm(gens, nvars, codim, prime), codim, False)
+        return CmVerdict(None, None)
+    return CmVerdict(_is_cm(gens, nvars, codim, prime), codim)
 
 
 @dataclass(frozen=True)

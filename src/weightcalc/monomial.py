@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from weightcalc.characters import diff_of_lambda, kvec_diff
+from weightcalc.characters import twisted_char
 from weightcalc.weights import (
     LambdaTuple,
     Params,
@@ -310,31 +310,13 @@ def total_dimension(ideal: MonomialIdeal) -> int:
     return len(standard_monomials(ideal))
 
 
-@dataclass(frozen=True)
-class GradedCharMultiset:
-    """Character multiset of a twisted quotient, degree by degree.
-
-    Each element pairs the formal elementary-character exponents of a
-    standard monomial with the residue of the inverse base character
-    times that monomial's character.
-    """
-
-    base_value: int
-    modulus: int
-    degrees: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-
-
 def graded_characters(
     lam: LambdaTuple, ideal: MonomialIdeal, dmax: int, params: Params
-) -> GradedCharMultiset:
-    """Characters of the quotient twisted by the inverse of lam's character."""
-    base = (-diff_of_lambda(lam, params).value) % params.q_minus_one
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Characters of the quotient twisted by the inverse of lam's
+    character, degree by degree: each standard monomial's signed
+    exponent vector with `twisted_char(lam, vector)`, sorted."""
     per_degree: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(dmax + 1)]
     for m in standard_monomials(ideal, max_degree=dmax):
-        value = (base + kvec_diff(m.signed, params)) % params.q_minus_one
-        per_degree[m.degree].append((m.signed, value))
-    return GradedCharMultiset(
-        base_value=base,
-        modulus=params.q_minus_one,
-        degrees=tuple(tuple(sorted(layer)) for layer in per_degree),
-    )
+        per_degree[m.degree].append((m.signed, twisted_char(lam, m.signed, params)))
+    return tuple(tuple(sorted(layer)) for layer in per_degree)

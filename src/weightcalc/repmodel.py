@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from weightcalc.characters import diff_of_lambda, kvec_diff
+from weightcalc.characters import twisted_char
 from weightcalc.monomial import Monomial, MonomialIdeal, ideal_a, ideal_a1
 from weightcalc.weights import LambdaTuple, Params, enumerate_p, enumerate_pss, j_set
 
@@ -121,23 +121,17 @@ def subquot_char_identity(i0: int, i0_prime: int, params: Params) -> SubquotChec
     f = params.f
     if not -1 <= i0 < i0_prime <= f:
         raise ValueError(f"need -1 <= i0 < i0' <= {f}, got ({i0}, {i0_prime})")
-    mod = params.q_minus_one
     left: list[int] = []
     scan: list[int] = []
     for lam in enumerate_p(params):
         big = ideal_a1(lam, i0, params)
         small = ideal_a1(lam, i0_prime, params)
-        base = (-diff_of_lambda(lam, params).value) % mod
-        for g in _bottom_generators(big, small):
-            left.append((base + kvec_diff(g.signed, params)) % mod)
-        for g in _bottom_by_scan(big, small):
-            scan.append((base + kvec_diff(g.signed, params)) % mod)
-    right: list[int] = []
-    for lam in _pss_layer(params, i0 + 1):
-        right.append((-diff_of_lambda(lam, params).value) % mod)
-    for j in range(i0 + 2, i0_prime + 1):
-        for lam in _p_layer(params, j):
-            right.append((-diff_of_lambda(lam, params).value) % mod)
+        left.extend(twisted_char(lam, g.signed, params) for g in _bottom_generators(big, small))
+        scan.extend(twisted_char(lam, g.signed, params) for g in _bottom_by_scan(big, small))
+    zero = (0,) * f
+    layers = [_pss_layer(params, i0 + 1)]
+    layers += [_p_layer(params, j) for j in range(i0 + 2, i0_prime + 1)]
+    right = [twisted_char(lam, zero, params) for layer in layers for lam in layer]
     left.sort()
     right.sort()
     scan.sort()

@@ -18,10 +18,9 @@ from functools import lru_cache
 
 from weightcalc.characters import (
     collision_scan,
-    diff_of_lambda,
     digit_unique,
     expected_shift_hits,
-    kvec_diff,
+    twisted_char,
 )
 from weightcalc.cycles import (
     cycle_additivity_check,
@@ -318,18 +317,30 @@ def check_shellability(rec: Recorder, f: int, d: int) -> None:
     )
 
 
+def check_negative_control(rec: Recorder, p: int) -> None:
+    """Three quadrics through one variable: an ideal of mixed grade, so
+    its quotient is not Cohen-Macaulay and the test must say so."""
+    control = grade_and_cm([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4, prime=p)
+    rec.add(
+        "negative-control",
+        "the engineered mixed-grade ideal is correctly rejected",
+        control.is_cm is False,
+        "three quadrics through one variable",
+    )
+
+
 def check_factor_tables(
-    rec: Recorder, p: int
+    rec: Recorder, p: int, patterns
 ) -> dict[tuple[tuple[str, ...], bool], BettiTable]:
-    """Every single-factor resolution, with and without cubes, against its
-    reference table and through the exactness recheck; returns the
-    computed tables by (tags, cube-deformed)."""
+    """The resolution of every given tag pattern, with and without cubes,
+    against its reference table and through the exactness recheck;
+    returns the computed tables by (tags, cube-deformed)."""
     tables = {}
-    for t in ("Y", "Z", "YZ"):
+    for tags in patterns:
         for full in (False, True):
-            tor = module_resolution((t,), full, p)
-            computed, expected = tor.table, expected_table((t,), full)
-            tables[((t,), full)] = computed
+            tor = module_resolution(tags, full, p)
+            computed, expected = tor.table, expected_table(tags, full)
+            tables[(tags, full)] = computed
             problems = []
             if computed.rows != expected.rows or tor.complete is not True:
                 problems.append(f"diff: {computed.diff(expected)}")
@@ -339,7 +350,7 @@ def check_factor_tables(
                 "factor-table",
                 "the computed minimal resolution matches the frozen factor table",
                 not problems,
-                f"tag = {t}, cube-deformed = {full}. {'; '.join(problems)}".strip(),
+                f"tag = {','.join(tags)}, cube-deformed = {full}. {'; '.join(problems)}".strip(),
             )
     return tables
 
@@ -371,8 +382,8 @@ def check_tor_family(
     """Dimension, character, and support checks on the Tor tables of the
     family's undeformed quotients, one table per member in family order."""
     f = params.f
-    mod = params.q_minus_one
-    bases = [(-diff_of_lambda(lam, params).value) % mod for lam in family]
+    zero = (0,) * f
+    bases = [twisted_char(lam, zero, params) for lam in family]
     top = max(len(t.rows) for t in tables)
     dims = tuple(sum(len(t.row(i)) for t in tables) for i in range(top))
     expected_dims = tuple(math.comb(2 * f, i) * len(family) for i in range(2 * f + 1))
@@ -384,8 +395,8 @@ def check_tor_family(
     )
     for i in range(2 * f + 1):
         got = [
-            (base + kvec_diff(char, params)) % mod
-            for base, table in zip(bases, tables)
+            twisted_char(lam, char, params)
+            for lam, table in zip(family, tables)
             for _, char in table.row(i)
         ]
         want = [base for base in bases for _ in range(math.comb(2 * f, i))]
@@ -443,8 +454,7 @@ def check_truncation(
         count = total_dimension(ideal)
         if count != n ** (f - c) * (2 * n - 1) ** c:
             details.append(f"{lam}: {count}")
-        chars = graded_characters(lam, ideal, n - 1, params)
-        for layer in chars.degrees:
+        for layer in graded_characters(lam, ideal, n - 1, params):
             pooled.extend((value, lam.entries, kv) for kv, value in layer)
     rec.add(
         "tau-dimension",
@@ -593,19 +603,13 @@ def _suite_cm(params: Params, max_degree: int | None) -> list[Check]:
             )
     for d in range(2, f + 2):
         check_shellability(rec, f, d)
-    control = grade_and_cm([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4, prime=params.p)
-    rec.add(
-        "negative-control",
-        "the engineered mixed-grade ideal is correctly rejected",
-        control.is_cm is False,
-        "three quadrics through one variable",
-    )
+    check_negative_control(rec, params.p)
     return rec.checks
 
 
 def _suite_resolutions(params: Params, max_degree: int | None) -> list[Check]:
     rec = Recorder("homology")
-    check_factor_tables(rec, params.p)
+    check_factor_tables(rec, params.p, [(t,) for t in ("Y", "Z", "YZ")])
     if params.f <= 2:
         check_dual_shifts(rec, params.f, params.p)
     return rec.checks

@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 import weightcalc
-from weightcalc.characters import diff_of_lambda
-from weightcalc.homology.resolution import expected_table, module_resolution
+from weightcalc.characters import twisted_char
 from weightcalc.homology.taylor import grade_and_cm
 from weightcalc.monomial import ideal_ijd, type_ideal
 from weightcalc.suites import (
@@ -32,6 +31,7 @@ from weightcalc.suites import (
     check_lattice_states,
     check_level_sets,
     check_maximal_chain,
+    check_negative_control,
     check_pure_patterns,
     check_shellability,
     check_subquotients,
@@ -160,9 +160,8 @@ def test_criterion_4_commutative_cm():
         for d in range(2, f + 2):
             check_shellability(rec, f, d)
             certs += 2**f
+    check_negative_control(rec, 29)
     problems += _failures(rec)
-    if grade_and_cm([(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)], 4).is_cm is not False:
-        problems.append("negative control was not rejected")
     _line(
         4,
         "commutative CM",
@@ -174,20 +173,11 @@ def test_criterion_4_commutative_cm():
 def test_criterion_5_noncommutative_tor():
     p = 29
     rec = Recorder("homology")
-    problems = []
-    tables = check_factor_tables(rec, p)
-    for pat in itertools.product(("Y", "Z", "YZ"), repeat=2):
-        for with_in in (False, True):
-            tor = module_resolution(pat, with_in, p)
-            computed, expected = tor.table, expected_table(pat, with_in)
-            tables[(pat, with_in)] = computed
-            if computed.rows != expected.rows or tor.complete is not True:
-                problems.append(f"f=2 table {pat} with_in={with_in}: {computed.diff(expected)}")
-            # index swaps and the y <-> z twists carry each table from its
-            # class representative and keep exactness, so the recheck is
-            # made once per class and covers all nine patterns
-            if not tor.verified:
-                problems.append(f"f=2 table {pat} with_in={with_in}: rank recheck failed")
+    # index swaps and the y <-> z twists carry each table from its class
+    # representative and keep exactness, so the recheck is made once per
+    # class and covers every pattern of the class
+    patterns = [pat for f in (1, 2) for pat in itertools.product(("Y", "Z", "YZ"), repeat=f)]
+    tables = check_factor_tables(rec, p, patterns)
     for f in (1, 2):
         params = _params(f, p=p)
         family = enumerate_p(params)
@@ -198,7 +188,7 @@ def test_criterion_5_noncommutative_tor():
         for pat in itertools.product(("Y", "Z", "YZ"), repeat=f):
             check_tor_pattern(rec, pat, tables[(pat, False)], tables[(pat, True)])
         check_dual_shifts(rec, f, p)
-    problems += _failures(rec)
+    problems = _failures(rec)
     _line(
         5,
         "noncommutative Tor",
@@ -221,7 +211,7 @@ def test_criterion_6_truncated_quotients():
         family = enumerate_p(params)
         # distinct base characters leave no collision forced, so the
         # multifree checks below pass only when no collision occurs
-        diffs = [diff_of_lambda(lam, params).value for lam in family]
+        diffs = [twisted_char(lam, (0,) * f, params) for lam in family]
         if len(set(diffs)) != len(diffs):
             problems.append(f"f={f}: base characters not distinct for the clean residues")
         for n in range(1, f + 2):

@@ -1,4 +1,4 @@
-"""Tests for the difference-exponent calculus."""
+"""Tests for the torus-character residues and the collision scan."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from weightcalc.characters import (
     CollisionHit,
-    DiffExponent,
     collision_scan,
-    diff_of_lambda,
     digit_unique,
     expected_shift_hits,
-    kvec_diff,
+    twisted_char,
 )
 from weightcalc.weights import (
     GenericityError,
@@ -35,31 +33,35 @@ def mk(f, j_rho=(), p=29, r=None):
     return Params(f=f, p=p, j_rho=frozenset(j_rho), r=tuple(r))
 
 
-class TestDiffExponent:
-    def test_reduction_and_arithmetic(self):
-        d = DiffExponent(845, 840)
-        assert d.value == 5
-        assert (d + DiffExponent(837, 840)).value == 2
-        assert (-d).value == 835
+class TestTwistedChar:
+    def test_reduced_and_length_checked(self):
+        pm = mk(2)
+        lam = LambdaTuple((0, 0))
+        assert twisted_char(lam, (421, 0), pm) == (842 - 9 - 16 * 29) % 840
         with pytest.raises(ValueError):
-            d + DiffExponent(1, 28)
+            twisted_char(lam, (0,), pm)
+        with pytest.raises(ValueError):
+            twisted_char(LambdaTuple((0,)), (0, 0), pm)
 
     def test_examples(self):
+        # at k = 0 the residue is minus the difference exponent of lam
         pm = Params(f=1, p=29, j_rho=frozenset({0}), r=(13,))
-        assert diff_of_lambda(from_symbols("x"), pm).value == 13
-        assert diff_of_lambda(from_symbols("p-1-x"), pm).value == 15
+        assert twisted_char(from_symbols("x"), (0,), pm) == (-13) % 28 == 15
+        assert twisted_char(from_symbols("p-1-x"), (0,), pm) == (-15) % 28 == 13
         pm2 = Params(f=2, p=29, j_rho=frozenset({0, 1}), r=(13, 14))
         lam = LambdaTuple((2, 3))  # entries x+2 and p-3-x, evaluated formally
-        got = diff_of_lambda(lam, pm2)
-        assert got.value == (15 + 12 * 29) % 840 == 363
-        assert got.formal == (15, 12)
+        assert lam.values(pm2) == (15, 12)
+        assert twisted_char(lam, (0, 0), pm2) == (-(15 + 12 * 29)) % 840 == 477
 
     def test_alpha(self):
-        # the elementary eigencharacter alpha_j has difference 2 p**j
+        # the elementary eigencharacter alpha_j moves the residue by 2 p**j
         pm = mk(2)
-        assert kvec_diff((1, 0), pm) == 2
-        assert kvec_diff((0, 1), pm) == 58
-        assert kvec_diff((1, -1), pm) == (2 - 58) % pm.q_minus_one
+        mod = pm.q_minus_one
+        for lam in enumerate_p(pm):
+            base = twisted_char(lam, (0, 0), pm)
+            assert (twisted_char(lam, (1, 0), pm) - base) % mod == 2
+            assert (twisted_char(lam, (0, 1), pm) - base) % mod == 58
+            assert (twisted_char(lam, (1, -1), pm) - base) % mod == (2 - 58) % mod
 
 
 class TestDigitUnique:

@@ -288,6 +288,12 @@ class TestRun:
         # the six factor tables form four classes, one recheck each
         run(_config(**f2, suites=("resolutions",)))
         assert len(calls) == 4
+        # `tor` prints `verified` in JSON only, and rechecks only then
+        argv = "tor --tags Y,Z --full --max-degree 8".split()
+        assert main(argv) == 0
+        assert len(calls) == 4
+        assert main(argv + ["--format", "json"]) == 0
+        assert len(calls) == 5
 
     def test_shared_memos_cover_their_inputs(self):
         # the package's memos are shared across configs; each config's

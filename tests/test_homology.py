@@ -370,65 +370,65 @@ class TestTaylorExt:
         for f in (1, 2):
             nv = 2 * f
             gens = [tuple(1 if i == k else 0 for i in range(nv)) for k in range(nv)]
-            assert grade_and_cm(gens, nv) == CmVerdict(True, nv, False)
+            assert grade_and_cm(gens, nv) == CmVerdict(True, nv)
             assert max(taylor_tor(gens, nv)[(1,) * nv]) == nv
 
     def test_principal_ideal_degrees(self):
         # Tor_0 in degree 0, Tor_1 in the generator's degree, and nothing else
         for gens, nv in (([(2,)], 1), ([(1, 1)], 2)):
             assert taylor_tor(gens, nv) == {(0,) * nv: {0: 1}, gens[0]: {1: 1}}
-            assert grade_and_cm(gens, nv) == CmVerdict(True, 1, False)
+            assert grade_and_cm(gens, nv) == CmVerdict(True, 1)
 
     def test_zero_ideal_is_the_free_module(self):
         assert taylor_tor([], 2) == {(0, 0): {0: 1}}
-        assert grade_and_cm([], 2) == CmVerdict(True, 0, False)
+        assert grade_and_cm([], 2) == CmVerdict(True, 0)
 
     def test_unit_ideal_flagged_separately(self):
-        assert grade_and_cm([(0, 0)], 2) == CmVerdict(None, None, True)
+        assert grade_and_cm([(0, 0)], 2) == CmVerdict(None, None)
 
     def test_many_generators_are_decided(self):
         # m^16 in two variables: 17 generators, Cohen-Macaulay of height 2
         gens = [(i, 16 - i) for i in range(17)]
-        assert grade_and_cm(gens, 2) == CmVerdict(True, 2, False)
+        assert grade_and_cm(gens, 2) == CmVerdict(True, 2)
 
     def test_large_exponents_are_decided(self):
-        assert grade_and_cm([(60, 60, 60)], 3) == CmVerdict(True, 1, False)
+        assert grade_and_cm([(60, 60, 60)], 3) == CmVerdict(True, 1)
 
     def test_pair_quotients_are_cm_all_tag_patterns(self):
         # one surviving variable or the product relation per index
         for f in (1, 2):
             for tags in itertools.product(ALL_TAGS, repeat=f):
                 v = grade_and_cm(lifted(f, _type_monos(tags)), 2 * f)
-                assert v == CmVerdict(True, f, False), tags
+                assert v == CmVerdict(True, f), tags
 
     def test_degree_d_products_are_cm(self):
         for f in (1, 2, 3):
             for d in range(1, f + 1):
                 ideal = ideal_ijd(frozenset(), frozenset(range(f)), d, f)
                 v = grade_and_cm(ideal.lift_exponents(), 2 * f)
-                assert v == CmVerdict(True, f, False), (f, d)
+                assert v == CmVerdict(True, f), (f, d)
 
     def test_mixed_product_family_is_cm(self):
         # two product indices plus an unconstrained one with its own tag
         for d in (1, 2):
             ideal = ideal_ijd(frozenset({0}), frozenset({1}), d, 2)
             v = grade_and_cm(ideal.lift_exponents(), 4)
-            assert v == CmVerdict(True, 2, False)
+            assert v == CmVerdict(True, 2)
         for t2 in ALL_TAGS:
             monos = list(ideal_ijd(frozenset({0}), frozenset({1}), 2, 3).gens)
             monos += _type_monos(("YZ", "YZ", t2))
             v = grade_and_cm(lifted(3, monos), 6)
-            assert v == CmVerdict(True, 3, False), t2
+            assert v == CmVerdict(True, 3), t2
 
     def test_non_pure_control_fails(self):
         gens = [(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)]
-        assert grade_and_cm(gens, 4) == CmVerdict(False, 1, False)
+        assert grade_and_cm(gens, 4) == CmVerdict(False, 1)
         # pd 3: Tor_3 at the lcm of all three generators
         assert max(i for dims in taylor_tor(gens, 4).values() for i in dims) == 3
         # two planes through one point: pd 3, one more than the height
         planes = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
         assert max(i for dims in taylor_tor(planes, 4).values() for i in dims) == 3
-        assert grade_and_cm(planes, 4) == CmVerdict(False, 2, False)
+        assert grade_and_cm(planes, 4) == CmVerdict(False, 2)
 
     def test_primal_exactness(self):
         cases = [
@@ -515,7 +515,7 @@ class TestTaylorExt:
         for nv in (1, 2, 3):
             assert taylor_tor([], nv) == {(0,) * nv: {0: 1}}
             for prime in (5, 29, LARGE_P):
-                assert grade_and_cm([], nv, prime) == CmVerdict(True, 0, False)
+                assert grade_and_cm([], nv, prime) == CmVerdict(True, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(_pair_ideals(), st.sampled_from([5, 29]))
@@ -528,9 +528,9 @@ class TestTaylorExt:
         own = taylor._normalize_gens(moved, nv)
         codim = taylor._codim.__wrapped__(own, nv)
         expected = (
-            CmVerdict(None, None, True)
+            CmVerdict(None, None)
             if codim is None
-            else CmVerdict(taylor._is_cm.__wrapped__(own, nv, codim, prime), codim, False)
+            else CmVerdict(taylor._is_cm.__wrapped__(own, nv, codim, prime), codim)
         )
         assert grade_and_cm(moved, nv, prime) == expected
 

@@ -1,6 +1,6 @@
 """Static checks of the source and test files: every top-level import is
-read somewhere in its module, and every definition in `src/` is read by
-some `src/` module."""
+read somewhere in its module, every definition in `src/` is read by
+some `src/` module, and only `characters` forms character residues."""
 
 from __future__ import annotations
 
@@ -100,3 +100,21 @@ def test_every_src_definition_is_read_in_src():
         if name not in read
     }
     assert unread == set(UNREAD_DEFINITIONS)
+
+
+def test_only_characters_forms_character_residues():
+    # a residue mod p**f - 1 is formed by `characters.twisted_char`
+    # alone; `weights` defines the modulus
+    found = [
+        f"{_module_name(path)}:{n.lineno}: {ast.unparse(n)}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if _module_name(path) not in ("weightcalc.characters", "weightcalc.weights")
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(n, ast.Attribute) and n.attr == "q_minus_one")
+        or (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Pow)
+            and (getattr(n.left, "id", None) == "p" or getattr(n.left, "attr", None) == "p")
+        )
+    ]
+    assert found == []

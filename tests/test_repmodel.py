@@ -130,13 +130,12 @@ class TestSubquot:
         assert chk.left == chk.right
 
     def test_top_step_is_the_last_large_layer(self):
-        from weightcalc.characters import diff_of_lambda
+        from weightcalc.characters import twisted_char
 
         prm = make_params(2, {0, 1})
         chk = subquot_char_identity(1, 2, prm)
-        mod = prm.q_minus_one
         expected = sorted(
-            (-diff_of_lambda(lam, prm).value) % mod
+            twisted_char(lam, (0, 0), prm)
             for lam in enumerate_pss(prm)
             if len(j_set(lam)) == 2
         )
